@@ -10,7 +10,7 @@ object Fig5Job {
   def main(args: Array[String]): Unit = {
     val spark = JobUtil.session("fig5")
     val cfg =
-      if (args.contains("--tiny")) repro.socialdata.SocialData.tiny.copy(plantedStatesMod8 = true)
+      if (args.contains("--tiny")) SocialData.tiny.copy(plantedStatesMod8 = true)
       else Experiments.benchFig5
     val rows = Experiments.fig5(spark, cfg, Experiments.defaultSs(cfg))
     println(Experiments.render(

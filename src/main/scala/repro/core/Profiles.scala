@@ -90,7 +90,7 @@ object Profiles {
   def ingest(p: UserProfile, e: CompactEvent): UserProfile =
     if (p.window.size < p.windowCap) p.copy(window = p.window :+ e)
     else {
-      var cat  = p.catCount.clone()
+      val cat  = p.catCount.clone()
       var prod = p.prodCount
       var ent  = p.entCount
       var seq  = p.longSeq

@@ -51,17 +51,26 @@ final class SsRecModel(
     * decoded online (a-HMM Viterbi over the producer's trailing categories)
     * for new ones.
     */
-  def zOf(item: Item): Int =
+  def zOf(item: Item): Int = {
+    checkCategory(item.category, s"item ${item.itemId}")
     zCache.getOrElseUpdate(item.itemId, tracker.zFor(item.producerId, item.category))
+  }
 
   private[core] def seedZCache(z: Map[Long, Int]): Unit = zCache ++= z
+
+  /** Reject a category outside `[0, nCategories)` before any state changes. */
+  private def checkCategory(c: Int, of: => String): Unit =
+    require(c >= 0 && c < cfg.nCategories,
+            s"$of: category $c outside [0, ${cfg.nCategories})")
 
   /** Encode an item as a matching query (with expansion unless disabled —
     * disabling reproduces the ssRec-ne variant).
     */
-  def queryOf(item: Item): ItemQuery =
+  def queryOf(item: Item): ItemQuery = {
+    checkCategory(item.category, s"item ${item.itemId}")
     Ranking.queryOf(item.itemId, item.category, item.producerId, item.entities,
                     expansion, cfg.expand)
+  }
 
   /** Top-k users for an incoming item via the CPPse-index (Algorithm 1). */
   def recommend(item: Item, k: Int, exact: Boolean = false): Seq[(Long, Double)] =
@@ -86,9 +95,12 @@ final class SsRecModel(
   /** Ingest a batch of observed interactions (Algorithm 2 maintenance): the
     * short-term windows advance, long-term lists absorb flushed windows,
     * BiHMM predictions refresh, and the index trees/hash table are updated.
-    * New users get a freshly trained b-HMM over their few events.
+    * New users get a freshly trained b-HMM over their few events. The whole
+    * batch is rejected, before any state changes, if one of its categories is
+    * out of range.
     */
   def observe(batch: Seq[Interaction]): UpdateReport = {
+    batch.foreach(i => checkCategory(i.category, s"interaction of user ${i.userId} with item ${i.itemId}"))
     val byUser = batch.groupBy(_.userId).toSeq.sortBy(_._1)
     val updates = byUser.map { case (u, is) =>
       val events = is.sortBy(_.ts).map { i =>
@@ -160,19 +172,5 @@ object SsRec {
       new ProducerTracker(producers, cfg.nAStates), eventsByUser, cfg)
     model.seedZCache(zOfItem)
     model
-  }
-
-  /** Rebuild a model under new (windowCap, λ_s, expand) without re-running
-    * Baum-Welch: profiles are replayed from the retained training events with
-    * each user's existing b-HMM.
-    */
-  def retarget(m: SsRecModel, producers: Map[Long, ProducerModel],
-               zOfItem: Map[Long, Int], newCfg: SsRecConfig): SsRecModel = {
-    val rebuilt = m.eventsByUser.map { case (u, events) =>
-      val model = m.index.profiles(u).model
-      u -> Profiles.build(u, events, model, newCfg.nCategories, newCfg.windowCap, newCfg.longSeqCap)
-    }
-    fromParts(rebuilt, m.eventsByUser, producers, m.index.collection,
-              if (newCfg.expand) m.expansion else Entities.none, zOfItem, newCfg)
   }
 }

@@ -1,6 +1,6 @@
 package repro.eval
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 import repro.socialdata.{Interaction, Item}
@@ -45,12 +45,13 @@ object Protocol {
   def itemStream(part: Array[Interaction]): Array[Item] = {
     val seen = scala.collection.mutable.Set.empty[Long]
     val out = scala.collection.mutable.ArrayBuffer.empty[Item]
-    part.sortBy(_.ts).foreach { i =>
-      if (seen.add(i.itemId))
-        out += Item(i.itemId, i.ts, i.category, i.producerId, i.entities, zPlanted = -1)
-    }
+    part.sortBy(_.ts).foreach(i => if (seen.add(i.itemId)) out += arrivalOf(i))
     out.toArray
   }
+
+  /** The item an interaction brings onto the stream, `zPlanted` scrubbed. */
+  private def arrivalOf(i: Interaction): Item =
+    Item(i.itemId, i.ts, i.category, i.producerId, i.entities, zPlanted = -1)
 
   /** Ground truth of a partition: the users that interacted with each item. */
   def truthOf(part: Array[Interaction]): Map[Long, Set[Long]] =
@@ -86,12 +87,36 @@ object Protocol {
     def values: Map[Int, Double] = ks.map(k => k -> value(k)).toMap
   }
 
-  /** Run the full protocol over the test partitions `trainParts until n`.
+  /** The protocol's stream over the test partitions `trainParts until n`.
     *
-    * Stream semantics: interactions are consumed in timestamp order; an item
-    * is recommended at its *arrival* (its first interaction), before that
-    * interaction — or any later one — is ingested, so there is no leakage of
-    * the item into the profiles being ranked. With `update = true` the
+    * Interactions are consumed in timestamp order; an item is handed to
+    * `arrive`, with the users that interacted with it in its partition, at its
+    * *arrival* (its first interaction), before that interaction — or any later
+    * one — is passed to `observe`, so there is no leakage of the item into the
+    * profiles being ranked. Before each arrival, and at the end of each
+    * partition, `observe` gets every interaction buffered since the last call.
+    */
+  def stream(partitions: IndexedSeq[Array[Interaction]], trainParts: Int,
+             observe: Seq[Interaction] => Unit)(arrive: (Item, Set[Long]) => Unit): Unit = {
+    val seen = scala.collection.mutable.Set.empty[Long]
+    val buffer = scala.collection.mutable.ArrayBuffer.empty[Interaction]
+    def flush(): Unit = if (buffer.nonEmpty) { observe(buffer.toSeq); buffer.clear() }
+    (trainParts until partitions.length).foreach { pi =>
+      val part = partitions(pi)
+      val truth = truthOf(part)
+      part.sortBy(_.ts).foreach { e =>
+        if (seen.add(e.itemId)) {
+          flush()
+          arrive(arrivalOf(e), truth.getOrElse(e.itemId, Set.empty))
+        }
+        buffer += e
+      }
+      flush()
+    }
+  }
+
+  /** Run the full protocol over the test partitions ([[stream]]), recording
+    * P@k of `rec`'s answer at every arrival. With `update = true` the
     * recommender observes every interaction older than the current arrival
     * (this is what keeps short-term windows fresh, Fig. 6/7/9); with
     * `update = false` it stays frozen after training — the paper's ssRec-nu
@@ -101,21 +126,8 @@ object Protocol {
                ks: Seq[Int], trainParts: Int = 2, update: Boolean = true): Map[Int, Double] = {
     val kMax = ks.max
     val acc = PrecisionAtK(ks)
-    val seen = scala.collection.mutable.Set.empty[Long]
-    val buffer = scala.collection.mutable.ArrayBuffer.empty[Interaction]
-    def flush(): Unit = if (update && buffer.nonEmpty) { rec.observe(buffer.toSeq); buffer.clear() }
-    (trainParts until partitions.length).foreach { pi =>
-      val part = partitions(pi)
-      val truth = truthOf(part)
-      part.sortBy(_.ts).foreach { e =>
-        if (seen.add(e.itemId)) {
-          flush()
-          val v = Item(e.itemId, e.ts, e.category, e.producerId, e.entities, zPlanted = -1)
-          acc.record(rec.recommend(v, kMax), truth.getOrElse(e.itemId, Set.empty))
-        }
-        buffer += e
-      }
-      flush()
+    stream(partitions, trainParts, batch => if (update) rec.observe(batch)) { (v, truth) =>
+      acc.record(rec.recommend(v, kMax), truth)
     }
     acc.values
   }

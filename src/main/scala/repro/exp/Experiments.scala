@@ -1,6 +1,6 @@
 package repro.exp
 
-import org.apache.spark.sql.{Dataset, Encoders, SparkSession}
+import org.apache.spark.sql.{Encoders, SparkSession}
 import repro.baselines.{Ctt, Ucd}
 import repro.core._
 import repro.eval.Protocol
@@ -203,34 +203,19 @@ object Experiments {
                   update: Boolean = true): Map[Double, Map[Int, Double]] = {
     val kMax = ks.max
     val accs = lambdas.map(l => l -> Protocol.PrecisionAtK(ks)).toMap
-    val seen = scala.collection.mutable.Set.empty[Long]
-    val buffer = scala.collection.mutable.ArrayBuffer.empty[Interaction]
-    def flush(): Unit = if (update && buffer.nonEmpty) { model.observe(buffer.toSeq); buffer.clear() }
-    (trainParts until partitions.length).foreach { pi =>
-      val part = partitions(pi)
-      val truth = Protocol.truthOf(part)
-      part.sortBy(_.ts).foreach { e =>
-        if (seen.add(e.itemId)) {
-          flush()
-          val v = repro.socialdata.Item(e.itemId, e.ts, e.category, e.producerId,
-                                        e.entities, zPlanted = -1)
-          val comps = model.componentsAll(v)
-          val t = truth.getOrElse(e.itemId, Set.empty)
-          lambdas.foreach { l =>
-            val heap = scala.collection.mutable.PriorityQueue.empty[(Double, Long)](
-              Ordering.by[(Double, Long), Double](-_._1))
-            comps.foreach { case (u, rl, rs) =>
-              val s = Ranking.combine(rl, rs, l)
-              if (heap.size < kMax) heap.enqueue((s, u))
-              else if (s > heap.head._1) { heap.dequeue(); heap.enqueue((s, u)) }
-            }
-            val drained: Seq[(Double, Long)] = heap.dequeueAll
-            accs(l).record(drained.reverse.map(_._2), t)
-          }
+    Protocol.stream(partitions, trainParts, batch => if (update) model.observe(batch)) { (v, t) =>
+      val comps = model.componentsAll(v)
+      lambdas.foreach { l =>
+        val heap = scala.collection.mutable.PriorityQueue.empty[(Double, Long)](
+          Ordering.by[(Double, Long), Double](-_._1))
+        comps.foreach { case (u, rl, rs) =>
+          val s = Ranking.combine(rl, rs, l)
+          if (heap.size < kMax) heap.enqueue((s, u))
+          else if (s > heap.head._1) { heap.dequeue(); heap.enqueue((s, u)) }
         }
-        buffer += e
+        val drained: Seq[(Double, Long)] = heap.dequeueAll
+        accs(l).record(drained.reverse.map(_._2), t)
       }
-      flush()
     }
     accs.map { case (l, a) => l -> a.values }
   }

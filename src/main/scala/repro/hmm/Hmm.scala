@@ -1,7 +1,5 @@
 package repro.hmm
 
-import scala.util.Random
-
 /** Discrete hidden Markov model `λ = ⟨π, A, B⟩` (paper Section IV-A, a-HMM layer).
   *
   * `pi(i)` is the initial probability of state i, `a(i)(j)` the transition
@@ -17,80 +15,25 @@ final case class Hmm(pi: Array[Double], a: Array[Array[Double]], b: Array[Array[
   /** Number of observation symbols M. */
   def nObs: Int = b(0).length
 
-  /** Scaled forward pass.
-    *
-    * @return (alphaHat, scales) where `alphaHat(t)(i)` is the normalized
-    *         forward probability of state i after observing `obs(0..t)` and
-    *         `scales(t)` is the per-step normalizer; the log-likelihood of the
-    *         sequence is `scales.map(math.log).sum`.
+  /** This model as the one-input case of [[IoHmm]]: every step carries
+    * input 0. The forward/backward recursions and Baum-Welch are IoHmm's; with
+    * one input they run the same arithmetic in the same order.
     */
-  def forward(obs: IndexedSeq[Int]): (Array[Array[Double]], Array[Double]) = {
-    val T = obs.length
-    val alpha  = Array.ofDim[Double](T, nStates)
-    val scales = Array.ofDim[Double](T)
-    var t = 0
-    while (t < T) {
-      var i = 0
-      var norm = 0.0
-      while (i < nStates) {
-        val prior =
-          if (t == 0) pi(i)
-          else {
-            var s = 0.0; var j = 0
-            while (j < nStates) { s += alpha(t - 1)(j) * a(j)(i); j += 1 }
-            s
-          }
-        val v = prior * b(i)(obs(t))
-        alpha(t)(i) = v
-        norm += v
-        i += 1
-      }
-      // A zero-probability step (symbol never emitted under current params)
-      // would poison the rest of the pass; fall back to a uniform posterior.
-      if (norm <= 0.0) {
-        var j = 0; while (j < nStates) { alpha(t)(j) = 1.0 / nStates; j += 1 }
-        scales(t) = 1e-300
-      } else {
-        var j = 0; while (j < nStates) { alpha(t)(j) /= norm; j += 1 }
-        scales(t) = norm
-      }
-      t += 1
-    }
-    (alpha, scales)
-  }
+  private def asIoHmm: IoHmm = IoHmm(pi, Array(a), Array(b))
 
-  /** Scaled backward pass using the forward scales. `beta(t)(i)` is normalized
-    * by the same per-step scale as the forward pass, so `alpha·beta` yields the
-    * smoothed state posterior directly.
-    */
-  def backward(obs: IndexedSeq[Int], scales: Array[Double]): Array[Array[Double]] = {
-    val T = obs.length
-    val beta = Array.ofDim[Double](T, nStates)
-    var i = 0
-    while (i < nStates) { beta(T - 1)(i) = 1.0; i += 1 }
-    var t = T - 2
-    while (t >= 0) {
-      var ii = 0
-      while (ii < nStates) {
-        var s = 0.0; var j = 0
-        while (j < nStates) { s += a(ii)(j) * b(j)(obs(t + 1)) * beta(t + 1)(j); j += 1 }
-        beta(t)(ii) = s / math.max(scales(t + 1), 1e-300)
-        ii += 1
-      }
-      t -= 1
-    }
-    beta
-  }
+  /** Scaled forward pass: (alphaHat, scales) as in [[IoHmm.forward]]. */
+  def forward(obs: IndexedSeq[Int]): (Array[Array[Double]], Array[Double]) =
+    asIoHmm.forward(Hmm.oneInput(obs))
+
+  /** Scaled backward pass using the forward scales; see [[IoHmm.backward]]. */
+  def backward(obs: IndexedSeq[Int], scales: Array[Double]): Array[Array[Double]] =
+    asIoHmm.backward(Hmm.oneInput(obs), scales)
 
   /** Filtered state distribution p(state | obs); equals `pi` on an empty history. */
-  def filtered(obs: IndexedSeq[Int]): Array[Double] =
-    if (obs.isEmpty) pi.clone()
-    else forward(obs)._1.last.clone()
+  def filtered(obs: IndexedSeq[Int]): Array[Double] = asIoHmm.filtered(Hmm.oneInput(obs))
 
   /** Log-likelihood of the observation sequence under this model. */
-  def logLikelihood(obs: IndexedSeq[Int]): Double =
-    if (obs.isEmpty) 0.0
-    else forward(obs)._2.map(s => math.log(math.max(s, 1e-300))).sum
+  def logLikelihood(obs: IndexedSeq[Int]): Double = asIoHmm.logLikelihood(Hmm.oneInput(obs))
 
   /** Most likely hidden state sequence (Viterbi, log-space). */
   def viterbi(obs: IndexedSeq[Int]): Array[Int] = {
@@ -127,29 +70,8 @@ final case class Hmm(pi: Array[Double], a: Array[Array[Double]], b: Array[Array[
   /** One-step-ahead observation distribution p(o_{T+1} = m | obs). On an empty
     * history this is the marginal emission under the initial distribution.
     */
-  def nextObsDist(obs: IndexedSeq[Int]): Array[Double] = {
-    val filt = filtered(obs)
-    val stateNext = Array.ofDim[Double](nStates)
-    if (obs.isEmpty) {
-      System.arraycopy(filt, 0, stateNext, 0, nStates)
-    } else {
-      var j = 0
-      while (j < nStates) {
-        var s = 0.0; var i = 0
-        while (i < nStates) { s += filt(i) * a(i)(j); i += 1 }
-        stateNext(j) = s
-        j += 1
-      }
-    }
-    val out = Array.ofDim[Double](nObs)
-    var j = 0
-    while (j < nStates) {
-      var m = 0
-      while (m < nObs) { out(m) += stateNext(j) * b(j)(m); m += 1 }
-      j += 1
-    }
-    out
-  }
+  def nextObsDist(obs: IndexedSeq[Int]): Array[Double] =
+    asIoHmm.nextObsDist(Hmm.oneInput(obs), Array(1.0))
 
   /** Most likely next observation symbol. */
   def predictNext(obs: IndexedSeq[Int]): Int = {
@@ -169,16 +91,15 @@ object Hmm {
   }
 
   /** Row-normalized random initialization; strictly positive entries so every
-    * transition/emission stays reachable during Baum-Welch.
+    * transition/emission stays reachable during Baum-Welch. Draws the same
+    * numbers as a one-input [[IoHmm.random]].
     */
-  def random(nStates: Int, nObs: Int, seed: Long): Hmm = {
-    val rnd = new Random(seed)
-    def row(n: Int): Array[Double] = {
-      val r = Array.fill(n)(0.2 + rnd.nextDouble())
-      normalize(r); r
-    }
-    Hmm(row(nStates), Array.fill(nStates)(row(nStates)), Array.fill(nStates)(row(nObs)))
-  }
+  def random(nStates: Int, nObs: Int, seed: Long): Hmm =
+    ofOneInput(IoHmm.random(nStates, 1, nObs, seed))
+
+  private def oneInput(obs: IndexedSeq[Int]): IndexedSeq[(Int, Int)] = obs.map((0, _))
+
+  private def ofOneInput(m: IoHmm): Hmm = Hmm(m.pi, m.a(0), m.b(0))
 
   /** Relabel hidden states into a canonical order — by dominant emission
     * symbol (ties by full emission row). Baum-Welch state identities are
@@ -210,84 +131,15 @@ object Hmm {
 
   /** Baum-Welch (EM) estimation of `λ = ⟨π, A, B⟩` from a single observation
     * sequence (paper: "We use Baum-Welch algorithm [32] to learn all three
-    * parameters"). Iterates until the log-likelihood gain drops below `tol` or
-    * `maxIter` is hit. A small Dirichlet-style floor keeps rows strictly
-    * positive so Viterbi and prediction never hit log(0).
+    * parameters"): [[IoHmm.baumWelch]] on the one-input view, from a random
+    * start.
     */
   def train(obs: IndexedSeq[Int], nStates: Int, nObs: Int,
             maxIter: Int = 40, tol: Double = 1e-5, seed: Long = 7): Hmm = {
     require(nStates >= 1, "nStates must be >= 1")
     require(nObs >= 1, "nObs must be >= 1")
-    val T = obs.length
-    if (T == 0) return uniformFloor(random(nStates, nObs, seed))
-    var model = random(nStates, nObs, seed)
-    var prevLl = Double.NegativeInfinity
-    var iter = 0
-    var done = false
-    while (iter < maxIter && !done) {
-      val (alpha, scales) = model.forward(obs)
-      val beta = model.backward(obs, scales)
-      val n = nStates
-      val gamma = Array.ofDim[Double](T, n)
-      var t = 0
-      while (t < T) {
-        var s = 0.0; var i = 0
-        while (i < n) { gamma(t)(i) = alpha(t)(i) * beta(t)(i); s += gamma(t)(i); i += 1 }
-        if (s > 0) { i = 0; while (i < n) { gamma(t)(i) /= s; i += 1 } }
-        t += 1
-      }
-      val aNum = Array.ofDim[Double](n, n)
-      val aDen = Array.ofDim[Double](n)
-      t = 0
-      while (t < T - 1) {
-        var denom = 0.0
-        var i = 0
-        while (i < n) {
-          var j = 0
-          while (j < n) {
-            denom += alpha(t)(i) * model.a(i)(j) * model.b(j)(obs(t + 1)) * beta(t + 1)(j)
-            j += 1
-          }
-          i += 1
-        }
-        if (denom > 0) {
-          i = 0
-          while (i < n) {
-            var j = 0
-            while (j < n) {
-              val xi = alpha(t)(i) * model.a(i)(j) * model.b(j)(obs(t + 1)) * beta(t + 1)(j) / denom
-              aNum(i)(j) += xi
-              aDen(i) += xi
-              j += 1
-            }
-            i += 1
-          }
-        }
-        t += 1
-      }
-      val bNum = Array.ofDim[Double](n, nObs)
-      val bDen = Array.ofDim[Double](n)
-      t = 0
-      while (t < T) {
-        var i = 0
-        while (i < n) { bNum(i)(obs(t)) += gamma(t)(i); bDen(i) += gamma(t)(i); i += 1 }
-        t += 1
-      }
-      val eps = 1e-6
-      val newPi = gamma(0).clone()
-      normalize(newPi)
-      val newA = Array.tabulate(n, n)((i, j) => aNum(i)(j) + eps)
-      newA.foreach(normalize)
-      val newB = Array.tabulate(n, nObs)((i, m) => bNum(i)(m) + eps)
-      newB.foreach(normalize)
-      model = Hmm(newPi, newA, newB)
-      val ll = scales.map(s => math.log(math.max(s, 1e-300))).sum
-      if (ll - prevLl < tol && iter > 0) done = true
-      prevLl = ll
-      iter += 1
-    }
-    model
+    val init = random(nStates, nObs, seed)
+    if (obs.isEmpty) init
+    else ofOneInput(IoHmm.baumWelch(init.asIoHmm, oneInput(obs), maxIter, tol))
   }
-
-  private def uniformFloor(m: Hmm): Hmm = m
 }

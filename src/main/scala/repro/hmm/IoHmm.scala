@@ -29,7 +29,11 @@ final case class IoHmm(pi: Array[Double],
   def nObs: Int = b(0)(0).length
 
   /** Scaled forward pass over (input, observation) pairs.
-    * @return (alphaHat, scales) as in [[Hmm.forward]].
+    *
+    * @return (alphaHat, scales) where `alphaHat(t)(i)` is the normalized
+    *         forward probability of state i after observing `obs(0..t)` and
+    *         `scales(t)` is the per-step normalizer; the log-likelihood of the
+    *         sequence is `scales.map(math.log).sum`.
     */
   def forward(obs: IndexedSeq[(Int, Int)]): (Array[Array[Double]], Array[Double]) = {
     val T = obs.length
@@ -53,6 +57,8 @@ final case class IoHmm(pi: Array[Double],
         norm += v
         i += 1
       }
+      // A zero-probability step (symbol never emitted under current params)
+      // would poison the rest of the pass; fall back to a uniform posterior.
       if (norm <= 0.0) {
         var j = 0; while (j < nStates) { alpha(t)(j) = 1.0 / nStates; j += 1 }
         scales(t) = 1e-300
@@ -65,7 +71,10 @@ final case class IoHmm(pi: Array[Double],
     (alpha, scales)
   }
 
-  /** Scaled backward pass matching [[forward]]'s scales. */
+  /** Scaled backward pass matching [[forward]]'s scales. `beta(t)(i)` is
+    * normalized by the same per-step scale as the forward pass, so
+    * `alpha·beta` yields the smoothed state posterior directly.
+    */
   def backward(obs: IndexedSeq[(Int, Int)], scales: Array[Double]): Array[Array[Double]] = {
     val T = obs.length
     val beta = Array.ofDim[Double](T, nStates)
@@ -229,11 +238,26 @@ object IoHmm {
       require(c >= 0 && c < nObs, s"obs $c out of range [0,$nObs)")
     }
     val base = Hmm.train(obs.map(_._2), nStates, nObs, maxIter, tol, seed)
-    var model = fromBase(base, nInputs)
+    val model = baumWelch(fromBase(base, nInputs), obs, maxIter, tol)
+    shrinkToBase(model, base, obs, shrinkTau, shrinkTauA)
+  }
+
+  /** Baum-Welch (EM) from `init`: input-conditioned sufficient statistics go
+    * to the `z`-indexed slice active at each step. Iterates until the
+    * log-likelihood gain drops below `tol` or `maxIter` is hit. A small
+    * Dirichlet-style floor keeps rows strictly positive so Viterbi and
+    * prediction never hit log(0).
+    */
+  private[hmm] def baumWelch(init: IoHmm, obs: IndexedSeq[(Int, Int)],
+                             maxIter: Int, tol: Double): IoHmm = {
+    val T = obs.length
+    val n = init.nStates
+    val nInputs = init.nInputs
+    val nObs = init.nObs
+    var model = init
     var prevLl = Double.NegativeInfinity
     var iter = 0
     var done = false
-    val n = nStates
     while (iter < maxIter && !done) {
       val (alpha, scales) = model.forward(obs)
       val beta = model.backward(obs, scales)
@@ -294,6 +318,6 @@ object IoHmm {
       prevLl = ll
       iter += 1
     }
-    shrinkToBase(model, base, obs, shrinkTau, shrinkTauA)
+    model
   }
 }

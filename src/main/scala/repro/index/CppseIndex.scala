@@ -1,6 +1,7 @@
 package repro.index
 
 import repro.core._
+import scala.collection.mutable.ArrayBuffer
 
 /** Reference into the forest: the extended signature tree of one user block
   * under one category.
@@ -35,9 +36,10 @@ final class CppseIndex(val nBuckets: Int,
   require(nBuckets > 0, "nBuckets must be positive")
 
   private val buckets = new Array[HashTriad](nBuckets)
-  private val trees = scala.collection.mutable.Map.empty[TreeRef, SignatureTree]
+  /** The forest: `forest(c)(b)` is the tree of block b under category c. */
+  private val forest = Array.fill(nCategories)(ArrayBuffer.empty[SignatureTree])
   private val blockOfUser = scala.collection.mutable.Map.empty[Long, Int]
-  private val centroids = scala.collection.mutable.ArrayBuffer.empty[Array[Double]]
+  private val centroids = ArrayBuffer.empty[Array[Double]]
   val profiles: scala.collection.mutable.Map[Long, UserProfile] =
     scala.collection.mutable.Map.empty
 
@@ -48,11 +50,11 @@ final class CppseIndex(val nBuckets: Int,
   def blockOf(userId: Long): Option[Int] = blockOfUser.get(userId)
 
   /** All trees of one category (the exact-mode candidate set). */
-  def treesOfCategory(c: Int): Seq[SignatureTree] =
-    trees.iterator.collect { case (ref, t) if ref.category == c => t }.toSeq
+  def treesOfCategory(c: Int): Seq[SignatureTree] = forest(c).toSeq
 
   /** Tree of one (block, category), if it exists. */
-  def tree(ref: TreeRef): Option[SignatureTree] = trees.get(ref)
+  def tree(ref: TreeRef): Option[SignatureTree] =
+    forest.lift(ref.category).flatMap(_.lift(ref.block))
 
   /** Distinct entities covered by a block's signatures (Table II statistic). */
   def blockEntityCount(block: Int): Int =
@@ -93,9 +95,9 @@ final class CppseIndex(val nBuckets: Int,
   def locateTrees(q: ItemQuery): Seq[SignatureTree] = {
     val refs = scala.collection.mutable.Set.empty[TreeRef]
     q.entityWeights.foreach { case (e, _) =>
-      findTriad(q.category, e).foreach(t => refs ++= t.trees.filter(_.category == q.category))
+      findTriad(q.category, e).foreach(refs ++= _.trees)
     }
-    refs.iterator.flatMap(trees.get).toSeq
+    refs.iterator.flatMap(tree).toSeq
   }
 
   // ------------------------------------------------------------------ build
@@ -123,12 +125,12 @@ final class CppseIndex(val nBuckets: Int,
       if (members.nonEmpty) { var i = 0; while (i < dim) { cen(i) /= members.size; i += 1 } }
       centroids += cen
     }
-    (0 until nBlocks).foreach { b =>
-      val members = byBlock.getOrElse(b, Seq.empty)
-      (0 until nCategories).foreach { c =>
-        val entries = members.map(p => (p.userId, Profiles.entryStats(p, c, params.mu, collection)))
-        trees(TreeRef(b, c)) = new SignatureTree(b, c, fanout).build(entries)
-      }
+    (0 until nCategories).foreach { c =>
+      forest(c) = (0 until nBlocks).map { b =>
+        val entries = byBlock.getOrElse(b, Seq.empty)
+          .map(p => (p.userId, Profiles.entryStats(p, c, params.mu, collection)))
+        new SignatureTree(b, c, fanout).build(entries)
+      }.to(ArrayBuffer)
     }
     ordered.foreach(p => linkProfilePairs(p, blockOfUser(p.userId)))
     this
@@ -144,41 +146,14 @@ final class CppseIndex(val nBuckets: Int,
 
   // ------------------------------------------------------------------ query
 
-  /** Algorithm 1: branch-and-bound KNN over the candidate trees. Seeds a
-    * priority queue with every tree root ordered by the IEntry upper bound,
-    * expands entries whose bound beats the current k-th best score `LB`, and
-    * collects leaves into a size-k result heap. `exact = true` searches every
-    * tree of the item's category (provably equal to a sequential scan, by
-    * Lemmas 1–2); the default hash-located mode skips blocks sharing no
-    * category-entity pair with the query.
+  /** Algorithm 1 ([[SignatureTree.search]]) over the candidate trees.
+    * `exact = true` searches every tree of the item's category (provably equal
+    * to a sequential scan, by Lemmas 1–2); the default hash-located mode skips
+    * blocks sharing no category-entity pair with the query.
     */
   def topK(q: ItemQuery, k: Int, exact: Boolean = false): Seq[(Long, Double)] = {
-    require(k >= 1, "k must be >= 1")
     val candidates = if (exact) treesOfCategory(q.category) else locateTrees(q)
-    val queue = scala.collection.mutable.PriorityQueue.empty[(Double, SigNode)](
-      Ordering.by[(Double, SigNode), Double](_._1))
-    candidates.foreach(_.root.foreach(r => queue.enqueue((Ranking.score(r.stats, q, params, collection), r))))
-    // Result heap: min-heap of size k; LB is its minimum once full.
-    val result = scala.collection.mutable.PriorityQueue.empty[(Double, Long)](
-      Ordering.by[(Double, Long), Double](-_._1))
-    def lb: Double = if (result.size < k) Double.NegativeInfinity else result.head._1
-    var done = false
-    while (queue.nonEmpty && !done) {
-      val (score, node) = queue.dequeue()
-      if (score <= lb && result.size >= k) done = true // bound: nothing better remains
-      else node match {
-        case leaf: SigLeaf =>
-          result.enqueue((score, leaf.userId))
-          if (result.size > k) result.dequeue()
-        case inner: SigInner =>
-          inner.children.foreach { ch =>
-            val s = Ranking.score(ch.stats, q, params, collection)
-            if (s > lb) queue.enqueue((s, ch))
-          }
-      }
-    }
-    val drained: Seq[(Double, Long)] = result.dequeueAll
-    drained.reverse.map { case (s, u) => (u, s) }
+    SignatureTree.search(candidates.iterator.flatMap(_.root), q, k, params, collection)
   }
 
   /** Sequential scan over every indexed profile with the same scorer — the
@@ -210,7 +185,7 @@ final class CppseIndex(val nBuckets: Int,
           val b = blockOfUser(userId)
           freshTriads += linkProfilePairs(refreshed, b)
           (0 until nCategories).foreach { c =>
-            val ok = trees(TreeRef(b, c)).update(
+            val ok = forest(c)(b).update(
               userId, Profiles.entryStats(refreshed, c, params.mu, collection))
             require(ok, s"user $userId missing from tree ($b,$c)")
           }
@@ -224,12 +199,9 @@ final class CppseIndex(val nBuckets: Int,
             else centroids.indices.maxBy(i => OnePassClustering.cosine(centroids(i), v))
           blockOfUser(userId) = b
           (0 until nCategories).foreach { c =>
-            val ref = TreeRef(b, c)
             val stats = Profiles.entryStats(p, c, params.mu, collection)
-            trees.get(ref) match {
-              case Some(t) => t.insert(userId, stats)
-              case None => trees(ref) = new SignatureTree(b, c, fanout).build(Seq((userId, stats)))
-            }
+            if (b < forest(c).size) forest(c)(b).insert(userId, stats)
+            else forest(c) += new SignatureTree(b, c, fanout).build(Seq((userId, stats)))
           }
           freshTriads += linkProfilePairs(p, b)
           created += 1

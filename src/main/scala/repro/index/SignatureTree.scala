@@ -1,6 +1,7 @@
 package repro.index
 
-import repro.core.EntryStats
+import repro.core.{CollectionStats, EntryStats, ItemQuery, RankParams, Ranking}
+import scala.collection.mutable
 import scala.collection.mutable.ArrayBuffer
 
 /** A node of the extended signature tree. `stats` is the node's signature:
@@ -31,7 +32,7 @@ final class SignatureTree(val block: Int, val category: Int, val fanout: Int)
   require(fanout >= 2, "fanout must be >= 2")
 
   private var rootNode: SigNode = _
-  private val leavesById = scala.collection.mutable.Map.empty[Long, SigLeaf]
+  private val leavesById = mutable.Map.empty[Long, SigLeaf]
 
   /** Root entry, or None for an empty tree. */
   def root: Option[SigNode] = Option(rootNode)
@@ -142,33 +143,53 @@ final class SignatureTree(val block: Int, val category: Int, val fanout: Int)
   def leaves: Seq[(Long, EntryStats)] =
     leavesById.iterator.map { case (u, l) => (u, l.stats) }.toSeq
 
-  /** Single-tree branch-and-bound KNN (Algorithm 1 restricted to one tree) —
-    * used by the per-category Structured Streaming matching operator, where
-    * each category group holds exactly one tree.
+  /** Single-tree KNN (Algorithm 1 over this tree alone) — used by the
+    * per-category Structured Streaming matching operator, where each category
+    * group holds exactly one tree.
     */
-  def knn(q: repro.core.ItemQuery, k: Int, prm: repro.core.RankParams,
-          col: repro.core.CollectionStats): Seq[(Long, Double)] = {
-    import repro.core.Ranking
-    val queue = scala.collection.mutable.PriorityQueue.empty[(Double, SigNode)](
+  def knn(q: ItemQuery, k: Int, prm: RankParams, col: CollectionStats): Seq[(Long, Double)] =
+    SignatureTree.search(root, q, k, prm, col)
+}
+
+object SignatureTree {
+
+  /** Result-heap order: the head is the worst kept entry — the lowest score,
+    * then the highest userId.
+    */
+  private val worstFirst: Ordering[(Double, Long)] = (a, b) => {
+    val c = java.lang.Double.compare(b._1, a._1)
+    if (c != 0) c else java.lang.Long.compare(a._2, b._2)
+  }
+
+  /** Algorithm 1: branch-and-bound KNN over the given tree roots. A priority
+    * queue ordered by the IEntry upper bound (Lemma 2) is seeded with the
+    * roots; entries whose bound reaches the current k-th best score `LB` are
+    * expanded, and leaves are collected into a size-k result heap. Results rank
+    * by score descending, then userId ascending — the order of
+    * [[CppseIndex.scanTopK]] — so an entry is pruned only when its bound is
+    * strictly below `LB`: a bound equal to `LB` may still hold a lower userId.
+    */
+  def search(roots: IterableOnce[SigNode], q: ItemQuery, k: Int, prm: RankParams,
+             col: CollectionStats): Seq[(Long, Double)] = {
+    require(k >= 1, "k must be >= 1")
+    val queue = mutable.PriorityQueue.empty[(Double, SigNode)](
       Ordering.by[(Double, SigNode), Double](_._1))
-    root.foreach(r => queue.enqueue((Ranking.score(r.stats, q, prm, col), r)))
-    val result = scala.collection.mutable.PriorityQueue.empty[(Double, Long)](
-      Ordering.by[(Double, Long), Double](-_._1))
-    def lb: Double = if (result.size < k) Double.NegativeInfinity else result.head._1
-    var done = false
-    while (queue.nonEmpty && !done) {
-      val (score, node) = queue.dequeue()
-      if (score <= lb && result.size >= k) done = true
-      else node match {
-        case leaf: SigLeaf =>
-          result.enqueue((score, leaf.userId))
+    roots.iterator.foreach(r => queue.enqueue((Ranking.score(r.stats, q, prm, col), r)))
+    val result = mutable.PriorityQueue.empty[(Double, Long)](worstFirst)
+    def full: Boolean = result.size >= k
+    def lb: Double = if (full) result.head._1 else Double.NegativeInfinity
+    while (queue.nonEmpty && !(full && queue.head._1 < lb)) queue.dequeue() match {
+      case (s, leaf: SigLeaf) =>
+        // Here s >= LB; on a tie the lower userId wins.
+        if (!full || s > lb || leaf.userId < result.head._2) {
+          result.enqueue((s, leaf.userId))
           if (result.size > k) result.dequeue()
-        case inner: SigInner =>
-          inner.children.foreach { ch =>
-            val s = Ranking.score(ch.stats, q, prm, col)
-            if (s > lb) queue.enqueue((s, ch))
-          }
-      }
+        }
+      case (_, inner: SigInner) =>
+        inner.children.foreach { ch =>
+          val s = Ranking.score(ch.stats, q, prm, col)
+          if (s >= lb) queue.enqueue((s, ch))
+        }
     }
     val drained: Seq[(Double, Long)] = result.dequeueAll
     drained.reverse.map { case (s, u) => (u, s) }

@@ -1,6 +1,6 @@
 package repro.socialdata
 
-import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
+import org.apache.spark.sql.{Dataset, SparkSession}
 import scala.util.Random
 
 /** A social item `v = ⟨c, uᵖ, E⟩` plus stream metadata.

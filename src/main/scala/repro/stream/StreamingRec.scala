@@ -1,6 +1,6 @@
 package repro.stream
 
-import org.apache.spark.sql.{Dataset, Encoder, Encoders, SparkSession}
+import org.apache.spark.sql.{Dataset, Encoder, Encoders}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.streaming.{GroupState, GroupStateTimeout, OutputMode}
 import repro.core._
@@ -108,7 +108,7 @@ object StreamingRec {
     items.groupByKey(_.category)
       .flatMapGroupsWithState[CatState, Rec](
         OutputMode.Append(), GroupStateTimeout.NoTimeout(), init) {
-        (category: Int, rows: Iterator[Item], state: GroupState[CatState]) =>
+        (_: Int, rows: Iterator[Item], state: GroupState[CatState]) =>
           state.getOption match {
             case None => Iterator.empty // category unseen at training time
             case Some(cs) =>

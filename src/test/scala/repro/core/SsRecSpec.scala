@@ -42,11 +42,9 @@ class SsRecSpec extends SparkSpec {
 
   test("index recommendation equals the sequential scan (exact mode)") {
     testItems.take(25).foreach { v =>
-      val got = model.recommend(v, 8, exact = true).map(_._2)
-      val want = model.scanRecommend(v, 8).map(_._2)
-      got.zip(want).foreach { case (g, w) =>
-        assert(math.abs(g - w) < 1e-9, s"item ${v.itemId}: index=$got scan=$want")
-      }
+      val got = model.recommend(v, 8, exact = true)
+      val want = model.scanRecommend(v, 8)
+      assert(got == want, s"item ${v.itemId}: index=$got scan=$want")
     }
   }
 
@@ -90,9 +88,9 @@ class SsRecSpec extends SparkSpec {
     val m = SsRec.train(spark, items, trainDs, ss)
     m.observe(partitions(2).toSeq)
     Protocol.itemStream(partitions(3)).take(15).foreach { v =>
-      val got = m.recommend(v, 6, exact = true).map(_._2)
-      val want = m.scanRecommend(v, 6).map(_._2)
-      got.zip(want).foreach { case (g, w) => assert(math.abs(g - w) < 1e-9) }
+      val got = m.recommend(v, 6, exact = true)
+      val want = m.scanRecommend(v, 6)
+      assert(got == want, s"item ${v.itemId}: index=$got scan=$want")
     }
   }
 
@@ -105,15 +103,30 @@ class SsRecSpec extends SparkSpec {
     assert(differs, "expansion never changed any ranking")
   }
 
-  test("retarget rebuilds profiles under a new window size without retraining") {
-    val producers = BiHmm.trainProducers(items, ss.bihmm)
-    val z = producers.valuesIterator.flatMap(_.zOfItem).toMap
-    val m2 = SsRec.retarget(model, producers, z, ss.copy(windowCap = 9))
-    assert(m2.index.profiles.keySet == model.index.profiles.keySet)
-    m2.index.profiles.values.foreach(p => assert(p.window.size <= 9))
-    // Same underlying b-HMMs, different window split.
-    val u = model.index.profiles.keys.head
-    assert(m2.index.profiles(u).model eq model.index.profiles(u).model)
+  test("out-of-range categories are rejected at the model boundary") {
+    val m = SsRec.train(spark, items, trainDs, ss)
+    val v = testItems.head
+    Seq(-1, ss.nCategories).foreach { c =>
+      val bad = v.copy(category = c)
+      val e = intercept[IllegalArgumentException](m.recommend(bad, 5))
+      assert(e.getMessage.contains(s"category $c outside [0, ${ss.nCategories})"))
+      intercept[IllegalArgumentException](m.scanRecommend(bad, 5))
+    }
+    // An item unseen by the model, so observing it decodes its producer state.
+    val good = partitions(2).head.copy(itemId = 1000000L)
+    val u = good.userId
+    val profileBefore = m.index.profiles.get(u)
+    val badBatch = Seq(good, good.copy(itemId = 1000001L, category = ss.nCategories))
+    val e = intercept[IllegalArgumentException](m.observe(badBatch))
+    assert(e.getMessage.contains(s"category ${ss.nCategories}"))
+    assert(m.index.profiles.get(u) == profileBefore, "rejected batch changed a profile")
+    // The producer's state window was left untouched: a valid interaction
+    // with the same producer is still observed.
+    val report = m.observe(Seq(good))
+    assert(report.updatedUsers + report.newUsers == 1)
+    val size = (p: UserProfile) => p.totalLong + p.window.size
+    assert(size(m.index.profiles(u)) == profileBefore.map(size).getOrElse(0.0) + 1)
+    assert(m.recommend(v, 5, exact = true) == m.scanRecommend(v, 5))
   }
 
   test("componentsAll covers every user and matches the scan score at lambda") {

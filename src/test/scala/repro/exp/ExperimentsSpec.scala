@@ -27,7 +27,10 @@ class ExperimentsSpec extends SparkSpec {
 
   test("buildModel honours the requested window size") {
     val m = Experiments.buildModel(trained, ss.copy(windowCap = 7))
+    assert(m.index.profiles.keySet == trained.userModels.keySet)
     m.index.profiles.values.foreach(p => assert(p.windowCap == 7 && p.window.size <= 7))
+    // Same b-HMM objects as trained: profiles are replayed, not retrained.
+    m.index.profiles.values.foreach(p => assert(p.model eq trained.userModels(p.userId)))
   }
 
   test("table2: rows per block budget, vocabularies shrink as blocks grow") {

@@ -46,12 +46,31 @@ class CppseIndexSpec extends AnyFunSuite {
     (1 to 30).foreach { i =>
       val q = randQuery(rnd)
       val k = rnd.nextInt(12) + 1
-      val got = idx.topK(q, k, exact = true).map(_._2)
-      val want = idx.scanTopK(q, k).map(_._2)
-      got.zip(want).foreach { case (g, w) =>
-        assert(math.abs(g - w) < 1e-9, s"case $i: index=$got scan=$want")
-      }
-      assert(got.size == want.size)
+      val got = idx.topK(q, k, exact = true)
+      val want = idx.scanTopK(q, k)
+      assert(got == want, s"case $i: index=$got scan=$want")
+    }
+  }
+
+  test("exact topK breaks score ties by userId, like the scan") {
+    val rnd = new Random(17)
+    // Every fourth user is the same profile: identical statistics, so equal
+    // scores, interleaved by id with distinct users.
+    val twinEvents = randEvents(rnd, 30)
+    val twinModel = IoHmm.random(2, NZ, NCats, seed = 1)
+    val twins = (0L until 48L by 4).map(u => Profiles.build(u, twinEvents, twinModel, NCats, 5))
+    val others = (0L until 48L).filter(_ % 4 != 0).map(u => randProfile(u, rnd))
+    val idx = new CppseIndex(256, 2, params, collection, NCats).build(twins ++ others, 4)
+    val twinIds = twins.map(_.userId).toSet
+    (1 to 20).foreach { i =>
+      val q = randQuery(rnd)
+      val all = idx.scanTopK(q, idx.profiles.size)
+      // Cut the ranking half-way through the block of tied twins.
+      val k = all.indexWhere(r => twinIds(r._1)) + twins.size / 2
+      assert(twinIds(all(k - 1)._1) && twinIds(all(k)._1) && all(k - 1)._2 == all(k)._2)
+      val got = idx.topK(q, k, exact = true)
+      assert(got.map(_._1) == all.take(k).map(_._1), s"case $i: index=$got")
+      assert(got == idx.scanTopK(q, k))
     }
   }
 
@@ -136,9 +155,7 @@ class CppseIndexSpec extends AnyFunSuite {
     idx.applyUpdates(ups, makeProfileFor)
     (1 to 20).foreach { _ =>
       val q = randQuery(rnd)
-      val got = idx.topK(q, 8, exact = true).map(_._2)
-      val want = idx.scanTopK(q, 8).map(_._2)
-      got.zip(want).foreach { case (g, w) => assert(math.abs(g - w) < 1e-9) }
+      assert(idx.topK(q, 8, exact = true) == idx.scanTopK(q, 8))
     }
   }
 

@@ -24,6 +24,11 @@ class SignatureTreeSpec extends AnyFunSuite {
     child.ent.foreach { case (k, v) => assert(parent.ent.getOrElse(k, 0.0) >= v - 1e-12) }
   }
 
+  /** Every leaf scored, ranked by score descending, then userId ascending. */
+  private def bruteForce(t: SignatureTree, q: ItemQuery, k: Int): Seq[(Long, Double)] =
+    t.leaves.map { case (u, s) => (u, Ranking.score(s, q, params, collection)) }
+      .sortBy { case (u, s) => (-s, u) }.take(k)
+
   private def checkTreeBounds(n: SigNode): Unit = n match {
     case _: SigLeaf => ()
     case i: SigInner =>
@@ -88,13 +93,8 @@ class SignatureTreeSpec extends AnyFunSuite {
     (1 to 40).foreach { i =>
       val q = randQuery(rnd)
       val k = rnd.nextInt(10) + 1
-      val got = t.knn(q, k, params, collection).map(_._2)
-      val want = t.leaves
-        .map { case (u, s) => (u, Ranking.score(s, q, params, collection)) }
-        .sortBy { case (u, s) => (-s, u) }.take(k).map(_._2)
-      got.zip(want).foreach { case (g, w) =>
-        assert(math.abs(g - w) < 1e-9, s"case $i: knn=$got brute=$want")
-      }
+      val got = t.knn(q, k, params, collection)
+      assert(got == bruteForce(t, q, k), s"case $i")
     }
   }
 
@@ -157,11 +157,7 @@ class SignatureTreeSpec extends AnyFunSuite {
     (0L until 10L).foreach(u => t.update(u, randStats(rnd)))
     (1 to 20).foreach { _ =>
       val q = randQuery(rnd)
-      val got = t.knn(q, 7, params, collection).map(_._2)
-      val want = t.leaves
-        .map { case (u, s) => (u, Ranking.score(s, q, params, collection)) }
-        .sortBy { case (u, s) => (-s, u) }.take(7).map(_._2)
-      got.zip(want).foreach { case (g, w) => assert(math.abs(g - w) < 1e-9) }
+      assert(t.knn(q, 7, params, collection) == bruteForce(t, q, 7))
     }
   }
 
