@@ -1,5 +1,6 @@
 package repro.baselines
 
+import repro.core.Ranking
 import repro.socialdata.{Interaction, Item}
 
 /** CTT baseline (Huang et al., SIGMOD'16): fuses collaborative filtering, the
@@ -14,7 +15,8 @@ import repro.socialdata.{Interaction, Item}
   * type is the user's long-run category frequency, and temporal decays with
   * the user's inactivity gap.
   */
-final class Ctt(nCategories: Int, histCap: Int = 20) extends Serializable {
+final class Ctt(nCategories: Int) extends Serializable {
+  private val histCap = 20 // most recent items per user that the CF term averages over
 
   private val consumersOf = scala.collection.mutable.Map.empty[Long, Set[Long]]
   private val entitiesOf = scala.collection.mutable.Map.empty[Long, Set[Int]]
@@ -71,5 +73,5 @@ final class Ctt(nCategories: Int, histCap: Int = 20) extends Serializable {
 
   /** Sequential scan over all users — the baseline has no index. */
   def recommend(v: Item, k: Int): Seq[(Long, Double)] =
-    users.iterator.map(u => (u, score(u, v))).toSeq.sortBy { case (u, s) => (-s, u) }.take(k)
+    Ranking.topK(users.iterator.map(u => (u, score(u, v))), k)
 }

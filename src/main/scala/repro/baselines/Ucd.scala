@@ -1,5 +1,7 @@
 package repro.baselines
 
+import repro.core.Ranking
+import repro.index.OnePassClustering
 import repro.socialdata.{Interaction, Item}
 
 /** UCD baseline (Zanitti et al., WWW'18): a user-centric diversity-by-design
@@ -10,8 +12,8 @@ import repro.socialdata.{Interaction, Item}
   * sequential scan with extra per-user diversity work — which is why it is
   * slower than CTT in Fig. 10.
   */
-final class Ucd(nCategories: Int, nNeighbours: Int = 5, recentCap: Int = 20)
-    extends Serializable {
+final class Ucd(nCategories: Int, nNeighbours: Int = 5) extends Serializable {
+  private val recentCap = 20 // recent recommendations per user the diversity penalty checks
 
   private val userEnt = scala.collection.mutable.Map.empty[Long, Map[Int, Double]]
   private val userCatFreq = scala.collection.mutable.Map.empty[Long, Array[Double]]
@@ -28,10 +30,6 @@ final class Ucd(nCategories: Int, nNeighbours: Int = 5, recentCap: Int = 20)
     this
   }
 
-  /** Absorb a new batch of interactions (profiles only; the neighbour graph is
-    * rebuilt lazily — UCD treats preferences as static, per the paper's
-    * critique).
-    */
   /** Absorb a batch: only the touched users' cached expanded profiles are
     * invalidated (neighbours keep a slightly stale view until their own next
     * update — UCD treats preferences as static anyway, per the paper).
@@ -47,20 +45,12 @@ final class Ucd(nCategories: Int, nNeighbours: Int = 5, recentCap: Int = 20)
     }
   }
 
-  private def cosine(a: Array[Double], b: Array[Double]): Double = {
-    var d = 0.0; var na = 0.0; var nb = 0.0; var i = 0
-    while (i < a.length) { d += a(i) * b(i); na += a(i) * a(i); nb += b(i) * b(i); i += 1 }
-    if (na <= 0 || nb <= 0) 0.0 else d / math.sqrt(na * nb)
-  }
-
   /** Top-`nNeighbours` users by cosine over category-frequency vectors. */
   def rebuildNeighbours(): Unit = {
     val all = userCatFreq.toSeq
     neighbours = all.map { case (u, f) =>
-      u -> all.iterator.filter(_._1 != u)
-        .map { case (v, g) => (v, cosine(f, g)) }
-        .toSeq.sortBy { case (v, s) => (-s, v) }
-        .take(nNeighbours).map(_._1)
+      u -> Ranking.topK(all.iterator.filter(_._1 != u)
+        .map { case (v, g) => (v, OnePassClustering.cosine(f, g)) }, nNeighbours).map(_._1)
     }.toMap
   }
 
@@ -113,8 +103,7 @@ final class Ucd(nCategories: Int, nNeighbours: Int = 5, recentCap: Int = 20)
     * history for the diversity penalty.
     */
   def recommend(v: Item, k: Int): Seq[(Long, Double)] = {
-    val top = users.iterator.map(u => (u, score(u, v))).toSeq
-      .sortBy { case (u, s) => (-s, u) }.take(k)
+    val top = Ranking.topK(users.iterator.map(u => (u, score(u, v))), k)
     val vSet = v.entities.toSet
     top.foreach { case (u, _) =>
       recentRecs(u) = (recentRecs.getOrElse(u, Vector.empty) :+ vSet).takeRight(recentCap)

@@ -4,12 +4,11 @@ import org.apache.spark.sql.{Dataset, Encoder, Encoders}
 import repro.hmm.{Hmm, IoHmm}
 import repro.socialdata.{Interaction, Item}
 
-/** BiHMM hyper-parameters: `nAStates` = producer (a-HMM) hidden states,
-  * `nBStates` = consumer (b-HMM) hidden states, over `nCategories` observation
-  * symbols.
+/** BiHMM hyper-parameters: `nAStates` = producer (a-HMM) hidden states (the
+  * fixed global state vocabulary), `nBStates` = consumer (b-HMM) hidden states,
+  * over `nCategories` observation symbols.
   */
-final case class BiHmmConfig(nCategories: Int, nAStates: Int = 3, nBStates: Int = 3,
-                             maxIter: Int = 30)
+final case class BiHmmConfig(nCategories: Int, nBStates: Int = 3, maxIter: Int = 30) { def nAStates: Int = 3 }
 
 /** A trained a-HMM for one producer, the Viterbi-decoded hidden state of every
   * item the producer created, a trailing category window for decoding the
@@ -26,8 +25,7 @@ final case class ProducerModel(producerId: Long, hmm: Hmm,
   * items by extending the producer's trailing category window and re-running
   * Viterbi over it. Unknown producers decode to state 0.
   */
-final class ProducerTracker(initial: Map[Long, ProducerModel], val nAStates: Int)
-    extends Serializable {
+final class ProducerTracker(initial: Map[Long, ProducerModel]) extends Serializable {
   private val recent = scala.collection.mutable.Map.empty[Long, Vector[Int]] ++
     initial.view.mapValues(_.recentCats).toMap
   private val hmms = initial.view.mapValues(m => (m.hmm, m.stateMap)).toMap
@@ -37,7 +35,7 @@ final class ProducerTracker(initial: Map[Long, ProducerModel], val nAStates: Int
     */
   def zFor(producerId: Long, category: Int): Int = hmms.get(producerId) match {
     case Some((h, stateMap)) =>
-      val win = (recent.getOrElse(producerId, Vector.empty) :+ category).takeRight(50)
+      val win = (recent.getOrElse(producerId, Vector.empty) :+ category).takeRight(BiHmm.ProducerWindow)
       recent(producerId) = win
       stateMap(h.viterbi(win).last)
     case None => 0
@@ -49,6 +47,9 @@ final class ProducerTracker(initial: Map[Long, ProducerModel], val nAStates: Int
   * history is small, the population is large.
   */
 object BiHmm {
+
+  /** Trailing categories per producer that Viterbi decodes new items over. */
+  val ProducerWindow: Int = 50
 
   private implicit def kryo[T](implicit ct: scala.reflect.ClassTag[T]): Encoder[T] =
     Encoders.kryo[T](ct)
@@ -68,23 +69,22 @@ object BiHmm {
     * thing regardless of which producer emitted the item.
     */
   def trainProducers(items: Dataset[Item], cfg: BiHmmConfig): Map[Long, ProducerModel] = {
-    val c = cfg
     val raw = items.groupByKey(_.producerId)(Encoders.scalaLong).mapGroups { (p, it) =>
       val sorted = it.toArray.sortBy(_.ts)
       val cats = sorted.map(_.category).toIndexedSeq
       val hmm = Hmm.canonicalize(
-        Hmm.trainBest(cats, c.nAStates, c.nCategories, c.maxIter, seed = 7 + p))
-      RawProducer(p, hmm, sorted.map(_.itemId), hmm.viterbi(cats), cats.takeRight(50).toVector)
+        Hmm.trainBest(cats, cfg.nAStates, cfg.nCategories, cfg.maxIter, seed = 7 + p))
+      RawProducer(p, hmm, sorted.map(_.itemId), hmm.viterbi(cats), cats.takeRight(ProducerWindow).toVector)
     }.collect()
     // Global state vocabulary: cluster all (producer, state) emission rows by
     // cosine into at most nAStates groups; the cluster id is the aligned label.
     val rows = raw.flatMap { r =>
-      r.hmm.b.zipWithIndex.map { case (em, j) => (r.producerId * c.nAStates + j, em) }
+      r.hmm.b.zipWithIndex.map { case (em, j) => (r.producerId * cfg.nAStates + j, em) }
     }.toSeq
-    val clusterOf = repro.index.OnePassClustering.cluster(rows, maxBlocks = c.nAStates,
+    val clusterOf = repro.index.OnePassClustering.cluster(rows, maxBlocks = cfg.nAStates,
                                                           threshold = 0.5)
     raw.map { r =>
-      val stateMap = Array.tabulate(r.hmm.nStates)(j => clusterOf(r.producerId * c.nAStates + j))
+      val stateMap = Array.tabulate(r.hmm.nStates)(j => clusterOf(r.producerId * cfg.nAStates + j))
       ProducerModel(r.producerId, r.hmm,
                     r.itemIds.zip(r.path.map(stateMap)).toMap,
                     r.recentCats, stateMap)
@@ -101,11 +101,9 @@ object BiHmm {
     * pair sequence and build the full profile from the same history.
     */
   def trainConsumer(userId: Long, events: Seq[CompactEvent], cfg: BiHmmConfig,
-                    windowCap: Int, longSeqCap: Int = 200,
-                    nBStates: Int = -1): UserProfile = {
-    val nB = if (nBStates > 0) nBStates else cfg.nBStates
+                    windowCap: Int, longSeqCap: Int = Profiles.LongSeqCap): UserProfile = {
     val obs = events.map(e => (e.zHat, e.category)).toIndexedSeq
-    val model = IoHmm.train(obs, nB, cfg.nAStates, cfg.nCategories, cfg.maxIter, seed = 11 + userId)
+    val model = IoHmm.train(obs, cfg.nBStates, cfg.nAStates, cfg.nCategories, cfg.maxIter, seed = 11 + userId)
     Profiles.build(userId, events, model, cfg.nCategories, windowCap, longSeqCap)
   }
 
@@ -115,14 +113,10 @@ object BiHmm {
     */
   def trainConsumers(interactions: Dataset[Interaction], zOfItem: Map[Long, Int],
                      cfg: BiHmmConfig, windowCap: Int,
-                     longSeqCap: Int = 200): Map[Long, UserProfile] = {
-    val c = cfg
-    val zMap = zOfItem
-    val wc = windowCap
-    val lsc = longSeqCap
+                     longSeqCap: Int = Profiles.LongSeqCap): Map[Long, UserProfile] = {
     interactions.groupByKey(_.userId)(Encoders.scalaLong).mapGroups { (u, it) =>
-      val events = toEvents(it.toSeq, id => zMap.getOrElse(id, 0))
-      trainConsumer(u, events, c, wc, lsc)
+      val events = toEvents(it.toSeq, id => zOfItem.getOrElse(id, 0))
+      trainConsumer(u, events, cfg, windowCap, longSeqCap)
     }.collect().map(p => p.userId -> p).toMap
   }
 }

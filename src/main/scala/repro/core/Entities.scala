@@ -3,6 +3,7 @@ package repro.core
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
+import scala.annotation.unused
 
 /** Proximity-based entity expansion (Section IV-B: "If two entities often
   * co-occurred closely in the same category, we believe they are strongly
@@ -40,7 +41,7 @@ object Entities {
     * is collected — expansion tables are small (bounded by the entity
     * vocabulary) and are broadcast into the scorer.
     */
-  def mine(spark: SparkSession, items: DataFrame,
+  def mine(@unused spark: SparkSession, items: DataFrame,
            topPerEntity: Int = 3, minWeight: Double = 0.2): EntityExpansion = {
     val entCnt = explodedEntities(items)
       .groupBy(col("entity").as("e1")).agg(count(lit(1)).as("e_cnt"))

@@ -81,6 +81,9 @@ final case class UserProfile(
 
 object Profiles {
 
+  /** Flushed events the long-term sequence keeps for `p_ℓ` (no paper value). */
+  val LongSeqCap: Int = 200
+
   /** Append one event. The window absorbs events until full, then is flushed
     * into the long-term statistics in one go — exactly the paper's "when the
     * short-term interest window is full, W will be flushed to L".
@@ -135,7 +138,7 @@ object Profiles {
     * [[ingest]] and refreshing the BiHMM predictions once at the end.
     */
   def build(userId: Long, history: Seq[CompactEvent], model: IoHmm,
-            nCategories: Int, windowCap: Int, longSeqCap: Int = 200): UserProfile = {
+            nCategories: Int, windowCap: Int, longSeqCap: Int = LongSeqCap): UserProfile = {
     val empty = UserProfile(
       userId, nCategories, windowCap, Vector.empty,
       Array.ofDim[Double](nCategories), Map.empty, Map.empty,

@@ -1,9 +1,9 @@
 package repro.core
 
 /** Weights of the recommendation score (Eq. 3): `λ_s` balances the short-term
-  * component, `μ` is the Dirichlet smoothing mass, `pFloor` keeps logs finite.
+  * component, `μ` is the Dirichlet smoothing mass.
   */
-final case class RankParams(lambdaS: Double = 0.4, mu: Double = 10.0, pFloor: Double = 1e-12) {
+final case class RankParams(lambdaS: Double = 0.4, mu: Double = Ranking.Mu) {
   require(lambdaS >= 0.0 && lambdaS <= 1.0, s"lambdaS must be in [0,1], got $lambdaS")
   require(mu > 0.0, "mu must be positive")
 }
@@ -18,6 +18,32 @@ final case class ItemQuery(itemId: Long, category: Int, producerId: Long,
                            entityWeights: Seq[(Int, Double)])
 
 object Ranking {
+
+  /** Dirichlet smoothing mass μ of Eq. 1 (the paper names no value). */
+  val Mu: Double = 10.0
+  private val PFloor: Double = 1e-12 // floor under every probability before its log
+
+  /** The one order of every `(userId, score)` ranking: score desc, then userId asc. */
+  val rankOrder: Ordering[(Long, Double)] = (a, b) => {
+    val c = java.lang.Double.compare(b._2, a._2)
+    if (c != 0) c else java.lang.Long.compare(a._1, b._1)
+  }
+
+  /** Keeps the k first `(userId, score)` pairs offered, in [[rankOrder]]. */
+  final class TopK(k: Int) {
+    private val heap = scala.collection.mutable.PriorityQueue.empty(rankOrder) // head: worst kept
+    /** The k-th best score so far; -∞ until k pairs are kept. */
+    def kthScore: Double = if (heap.size >= k && heap.nonEmpty) heap.head._2 else Double.NegativeInfinity
+    def offer(x: (Long, Double)): Unit =
+      if (heap.size < k) heap.enqueue(x)
+      else if (heap.nonEmpty && rankOrder.lt(x, heap.head)) { heap.dequeue(); heap.enqueue(x) }
+    def drain(): Seq[(Long, Double)] = heap.dequeueAll[(Long, Double)].reverse // best first
+  }
+
+  /** The k first `(userId, score)` pairs of `scored` in [[rankOrder]]. */
+  def topK(scored: IterableOnce[(Long, Double)], k: Int): Seq[(Long, Double)] = {
+    val top = new TopK(k); scored.iterator.foreach(top.offer); top.drain()
+  }
 
   /** Encode an item as a query, applying entity expansion when enabled
     * (ssRec-ne in the paper is exactly `expand = false`).
@@ -50,7 +76,7 @@ object Ranking {
     q.entityWeights.foreach { case (e, w) =>
       entSum += w * math.max(s.ent.getOrElse(e, 0.0), prm.mu * col.entityBg(e) * s.invTot)
     }
-    def lg(x: Double): Double = math.log(math.max(x, prm.pFloor))
+    def lg(x: Double): Double = math.log(math.max(x, PFloor))
     (lg(s.pL) + lg(prodP) + lg(entSum), lg(s.pS))
   }
 

@@ -2,30 +2,29 @@ package repro.core
 
 import org.apache.spark.sql.{Dataset, SparkSession}
 import org.apache.spark.sql.functions._
-import repro.index.{CppseIndex, UpdateReport}
+import repro.index.{CppseIndex, OnePassClustering, UpdateReport}
 import repro.socialdata.{Interaction, Item}
+import scala.annotation.unused
 
-/** End-to-end configuration of the ssRec framework. The defaults are the
-  * paper's tuned values: `windowCap = 5` (Fig. 6), `λ_s = 0.4` on
-  * YTube-like data (Fig. 7).
+/** The ssRec settings the evaluation varies (DESIGN.md lists the fixed rest).
+  * The defaults are the paper's tuned values: `windowCap = 5` (Fig. 6),
+  * `λ_s = 0.4` on YTube-like data (Fig. 7).
   */
 final case class SsRecConfig(
     nCategories: Int,
     windowCap: Int = 5,
     lambdaS: Double = 0.4,
-    mu: Double = 10.0,
-    nAStates: Int = 3,
     nBStates: Int = 3,
     maxBlocks: Int = 10,
-    blockThreshold: Double = 0.6,
+    blockThreshold: Double = OnePassClustering.DefaultThreshold,
     expand: Boolean = true,
-    hashBuckets: Int = 2048,
-    treeFanout: Int = 8,
-    longSeqCap: Int = 200,
     hmmIter: Int = 30,
 ) {
+  /** The fixed [[Ranking.Mu]] and [[Profiles.LongSeqCap]]. */
+  def mu: Double = Ranking.Mu
+  def longSeqCap: Int = Profiles.LongSeqCap
   def params: RankParams = RankParams(lambdaS, mu)
-  def bihmm: BiHmmConfig = BiHmmConfig(nCategories, nAStates, nBStates, hmmIter)
+  def bihmm: BiHmmConfig = BiHmmConfig(nCategories, nBStates, hmmIter)
 }
 
 /** A trained ssRec model: the CPPse-index over all user profiles, the mined
@@ -110,7 +109,7 @@ final class SsRecModel(
       (u, events: Seq[CompactEvent])
     }
     index.applyUpdates(updates, (userId, events) =>
-      BiHmm.trainConsumer(userId, events, cfg.bihmm, cfg.windowCap, cfg.longSeqCap))
+      BiHmm.trainConsumer(userId, events, cfg.bihmm, cfg.windowCap))
   }
 }
 
@@ -123,7 +122,7 @@ object SsRec {
   /** Collection background statistics for Dirichlet smoothing, computed with
     * DataFrame aggregations over the item stream.
     */
-  def collectionStats(spark: SparkSession, items: Dataset[Item]): CollectionStats = {
+  def collectionStats(@unused spark: SparkSession, items: Dataset[Item]): CollectionStats = {
     val df = items.toDF()
     val prodRows = df.groupBy("producerId").agg(count(lit(1)).as("n")).collect()
     val prodTotal = prodRows.map(_.getLong(1)).sum.toDouble
@@ -143,8 +142,7 @@ object SsRec {
             interactions: Dataset[Interaction], cfg: SsRecConfig): SsRecModel = {
     val producers = BiHmm.trainProducers(items, cfg.bihmm)
     val zOfItem = producers.valuesIterator.flatMap(_.zOfItem).toMap
-    val profiles = BiHmm.trainConsumers(interactions, zOfItem, cfg.bihmm,
-                                        cfg.windowCap, cfg.longSeqCap)
+    val profiles = BiHmm.trainConsumers(interactions, zOfItem, cfg.bihmm, cfg.windowCap)
     val eventsByUser = collectEvents(interactions, zOfItem)
     val col = collectionStats(spark, items)
     val expansion = if (cfg.expand) Entities.mine(spark, items.toDF()) else Entities.none
@@ -166,10 +164,9 @@ object SsRec {
                 producers: Map[Long, ProducerModel], col: CollectionStats,
                 expansion: EntityExpansion, zOfItem: Map[Long, Int],
                 cfg: SsRecConfig): SsRecModel = {
-    val index = new CppseIndex(cfg.hashBuckets, cfg.treeFanout, cfg.params, col, cfg.nCategories)
+    val index = new CppseIndex(CppseIndex.Buckets, CppseIndex.Fanout, cfg.params, col, cfg.nCategories)
       .build(profiles.values, cfg.maxBlocks, cfg.blockThreshold)
-    val model = new SsRecModel(index, expansion,
-      new ProducerTracker(producers, cfg.nAStates), eventsByUser, cfg)
+    val model = new SsRecModel(index, expansion, new ProducerTracker(producers), eventsByUser, cfg)
     model.seedZCache(zOfItem)
     model
   }

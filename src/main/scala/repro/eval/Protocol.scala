@@ -15,6 +15,9 @@ import repro.socialdata.{Interaction, Item}
   */
 object Protocol {
 
+  /** Leading partitions that train; the rest are the test stream. */
+  val TrainParts: Int = 2
+
   /** Split interactions into `n` even partitions in timestamp order. */
   def split(interactions: Seq[Interaction], n: Int = 6): IndexedSeq[Array[Interaction]] = {
     require(n >= 2, "need at least two partitions")
@@ -87,7 +90,7 @@ object Protocol {
     def values: Map[Int, Double] = ks.map(k => k -> value(k)).toMap
   }
 
-  /** The protocol's stream over the test partitions `trainParts until n`.
+  /** The protocol's stream over the test partitions `TrainParts until n`.
     *
     * Interactions are consumed in timestamp order; an item is handed to
     * `arrive`, with the users that interacted with it in its partition, at its
@@ -96,12 +99,12 @@ object Protocol {
     * profiles being ranked. Before each arrival, and at the end of each
     * partition, `observe` gets every interaction buffered since the last call.
     */
-  def stream(partitions: IndexedSeq[Array[Interaction]], trainParts: Int,
+  def stream(partitions: IndexedSeq[Array[Interaction]],
              observe: Seq[Interaction] => Unit)(arrive: (Item, Set[Long]) => Unit): Unit = {
     val seen = scala.collection.mutable.Set.empty[Long]
     val buffer = scala.collection.mutable.ArrayBuffer.empty[Interaction]
     def flush(): Unit = if (buffer.nonEmpty) { observe(buffer.toSeq); buffer.clear() }
-    (trainParts until partitions.length).foreach { pi =>
+    (TrainParts until partitions.length).foreach { pi =>
       val part = partitions(pi)
       val truth = truthOf(part)
       part.sortBy(_.ts).foreach { e =>
@@ -123,10 +126,10 @@ object Protocol {
     * static setting.
     */
   def evaluate(partitions: IndexedSeq[Array[Interaction]], rec: StreamRecommender,
-               ks: Seq[Int], trainParts: Int = 2, update: Boolean = true): Map[Int, Double] = {
+               ks: Seq[Int], update: Boolean = true): Map[Int, Double] = {
     val kMax = ks.max
     val acc = PrecisionAtK(ks)
-    stream(partitions, trainParts, batch => if (update) rec.observe(batch)) { (v, truth) =>
+    stream(partitions, batch => if (update) rec.observe(batch)) { (v, truth) =>
       acc.record(rec.recommend(v, kMax), truth)
     }
     acc.values

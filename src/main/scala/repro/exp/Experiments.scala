@@ -56,8 +56,8 @@ object Experiments {
     val producers = BiHmm.trainProducers(items, ss.bihmm)
     val zOfItem = producers.valuesIterator.flatMap(_.zOfItem).toMap
     import spark.implicits._
-    val trainDs = spark.createDataset((partitions(0) ++ partitions(1)).toSeq)
-    val profiles = BiHmm.trainConsumers(trainDs, zOfItem, ss.bihmm, ss.windowCap, ss.longSeqCap)
+    val trainDs = spark.createDataset(partitions.take(Protocol.TrainParts).flatten)
+    val profiles = BiHmm.trainConsumers(trainDs, zOfItem, ss.bihmm, ss.windowCap)
     val eventsByUser = SsRec.collectEvents(trainDs, zOfItem)
     val col = SsRec.collectionStats(spark, items)
     val expansion = Entities.mine(spark, items.toDF())
@@ -71,20 +71,18 @@ object Experiments {
     */
   def buildModel(t: Trained, ss: SsRecConfig): SsRecModel = {
     val profiles = t.eventsByUser.map { case (u, ev) =>
-      u -> Profiles.build(u, ev, t.userModels(u), ss.nCategories, ss.windowCap, ss.longSeqCap)
+      u -> Profiles.build(u, ev, t.userModels(u), ss.nCategories, ss.windowCap)
     }
     SsRec.fromParts(profiles, t.eventsByUser, t.producers, t.col,
                     if (ss.expand) t.expansion else Entities.none, t.zOfItem, ss)
   }
 
   /** Protocol adapter for ssRec and its variants. */
-  final class SsRecAdapter(val model: SsRecModel, val name: String,
-                           update: Boolean = true, exact: Boolean = false)
+  final class SsRecAdapter(val model: SsRecModel, val name: String, exact: Boolean = false)
       extends StreamRecommender {
     override def recommend(item: Item, k: Int): Seq[Long] =
       model.recommend(item, k, exact).map(_._1)
-    override def observe(batch: Seq[Interaction]): Unit =
-      if (update) { model.observe(batch); () }
+    override def observe(batch: Seq[Interaction]): Unit = { model.observe(batch); () }
   }
 
   /** Protocol adapter for CTT. */
@@ -145,15 +143,14 @@ object Experiments {
     * temporal split; HMM state count tuned on test accuracy as in the paper;
     * BiHMM trained at the same count.
     */
-  def fig5(spark: SparkSession, cfg: SocialConfig, ss0: SsRecConfig,
+  def fig5(spark: SparkSession, cfg: SocialConfig, ss: SsRecConfig,
            maxStates: Int = 8): Seq[Fig5Row] = {
-    val ss = ss0
     val items = SocialData.items(spark, cfg).cache()
     val producers = BiHmm.trainProducers(items, ss.bihmm)
     val zOfItem = producers.valuesIterator.flatMap(_.zOfItem).toMap
     val interactions = SocialData.interactions(spark, cfg)
     val nCats = cfg.nCategories
-    val nA = ss.nAStates
+    val nA = ss.bihmm.nAStates
     val maxIter = ss.hmmIter
     implicit val enc = Encoders.product[Fig5UserRow]
     val perUser = interactions.groupByKey(_.userId)(Encoders.scalaLong).mapGroups { (u, it) =>
@@ -196,25 +193,17 @@ object Experiments {
 
   /** One protocol pass computing P@k for every λ_s simultaneously from the
     * cached (R_ℓ, R_s) components — profile updates do not depend on λ_s, so
-    * a single pass serves the whole sweep.
+    * a single pass serves the whole sweep; each λ_s ranks with [[Ranking.topK]].
     */
   def sweepLambda(model: SsRecModel, partitions: IndexedSeq[Array[Interaction]],
-                  lambdas: Seq[Double], ks: Seq[Int], trainParts: Int = 2,
-                  update: Boolean = true): Map[Double, Map[Int, Double]] = {
+                  lambdas: Seq[Double], ks: Seq[Int]): Map[Double, Map[Int, Double]] = {
     val kMax = ks.max
     val accs = lambdas.map(l => l -> Protocol.PrecisionAtK(ks)).toMap
-    Protocol.stream(partitions, trainParts, batch => if (update) model.observe(batch)) { (v, t) =>
+    Protocol.stream(partitions, batch => model.observe(batch)) { (v, t) =>
       val comps = model.componentsAll(v)
       lambdas.foreach { l =>
-        val heap = scala.collection.mutable.PriorityQueue.empty[(Double, Long)](
-          Ordering.by[(Double, Long), Double](-_._1))
-        comps.foreach { case (u, rl, rs) =>
-          val s = Ranking.combine(rl, rs, l)
-          if (heap.size < kMax) heap.enqueue((s, u))
-          else if (s > heap.head._1) { heap.dequeue(); heap.enqueue((s, u)) }
-        }
-        val drained: Seq[(Double, Long)] = heap.dequeueAll
-        accs(l).record(drained.reverse.map(_._2), t)
+        val scored = comps.iterator.map { case (u, rl, rs) => (u, Ranking.combine(rl, rs, l)) }
+        accs(l).record(Ranking.topK(scored, kMax).map(_._1), t)
       }
     }
     accs.map { case (l, a) => l -> a.values }
@@ -249,7 +238,7 @@ object Experiments {
   /** Fig. 8: P@k of ssRec vs ssRec-ne (no expansion) vs CTT vs UCD. */
   def fig8(t: Trained, ss: SsRecConfig, cfg: SocialConfig,
            ks: Seq[Int] = Seq(5, 10, 20, 30)): Seq[MethodPAtK] = {
-    val trainBatch = (t.partitions(0) ++ t.partitions(1)).toSeq
+    val trainBatch = t.partitions.take(Protocol.TrainParts).flatten
     // Effectiveness figures rank with the exact candidate set (hash-located
     // fast mode trades recall for the Fig-10 speed; quality comparisons must
     // not pay that).
@@ -283,7 +272,7 @@ object Experiments {
         new SsRecAdapter(buildModel(t, ss), "ssRec", exact = true), ks)),
     MethodPAtK("ssRec-nu",
       Protocol.evaluate(t.partitions,
-        new SsRecAdapter(buildModel(t, ss), "ssRec-nu", update = false, exact = true), ks)),
+        new SsRecAdapter(buildModel(t, ss), "ssRec-nu", exact = true), ks, update = false)),
   )
 
   // ------------------------------------------------------------------ Fig 10
@@ -301,7 +290,7 @@ object Experiments {
             k: Int = 30, sampleCap: Int = 300): Seq[Fig10Row] = {
     val m = buildModel(t, ss)
     val ssA = new SsRecAdapter(m, "ssRec")
-    val trainBatch = (t.partitions(0) ++ t.partitions(1)).toSeq
+    val trainBatch = t.partitions.take(Protocol.TrainParts).flatten
     val ctt = new Ctt(cfg.nCategories).train(trainBatch)
     val ucd = new Ucd(cfg.nCategories).train(trainBatch)
 
@@ -311,7 +300,7 @@ object Experiments {
       (System.nanoTime() - t0) / 1e6 / math.max(1, items.size)
     }
 
-    (2 until t.partitions.length).map { pi =>
+    (Protocol.TrainParts until t.partitions.length).map { pi =>
       val part = t.partitions(pi)
       val stream = Protocol.itemStream(part)
       val step = math.max(1, stream.length / sampleCap)
@@ -322,7 +311,7 @@ object Experiments {
       if (pi < t.partitions.length - 1) {
         ssA.observe(part.toSeq); ctt.observe(part.toSeq); ucd.observe(part.toSeq)
       }
-      Fig10Row(pi - 1, ssMs, cttMs, ucdMs)
+      Fig10Row(pi - Protocol.TrainParts + 1, ssMs, cttMs, ucdMs)
     }
   }
 
@@ -336,7 +325,7 @@ object Experiments {
     */
   def fig11(t: Trained, ss: SsRecConfig,
             sizes: Seq[Int] = Seq(500, 1000, 2000, 4000, 8000)): Seq[Fig11Row] = {
-    val all = (2 until t.partitions.length).flatMap(t.partitions(_)).toArray
+    val all = (Protocol.TrainParts until t.partitions.length).flatMap(t.partitions(_)).toArray
     val warmup = all.take(300).toSeq
     val updates = all.drop(300)
     sizes.map { n =>

@@ -82,6 +82,9 @@ final case class Hmm(pi: Array[Double], a: Array[Array[Double]], b: Array[Array[
 
 object Hmm {
 
+  private[hmm] val Tol: Double = 1e-5 // Baum-Welch stops below this log-likelihood gain
+  private val Restarts: Int = 3        // EM runs of trainBest, one per seed
+
   /** Normalize a row in place; a degenerate all-zero row becomes uniform. */
   private[hmm] def normalize(row: Array[Double]): Unit = {
     var s = 0.0; var i = 0
@@ -118,14 +121,13 @@ object Hmm {
     )
   }
 
-  /** [[train]] with random restarts: EM is run from several seeds and the
+  /** [[train]] with random restarts: EM is run from [[Restarts]] seeds and the
     * highest-likelihood model wins. Used for the a-HMM layer, where a bad
     * local optimum corrupts every downstream decoded producer state.
     */
   def trainBest(obs: IndexedSeq[Int], nStates: Int, nObs: Int,
-                maxIter: Int = 40, tol: Double = 1e-5, seed: Long = 7,
-                restarts: Int = 3): Hmm = {
-    val models = (0 until math.max(1, restarts)).map(r => train(obs, nStates, nObs, maxIter, tol, seed + 1000L * r))
+                maxIter: Int = 40, seed: Long = 7): Hmm = {
+    val models = (0 until Restarts).map(r => train(obs, nStates, nObs, maxIter, seed + 1000L * r))
     if (obs.isEmpty) models.head else models.maxBy(_.logLikelihood(obs))
   }
 
@@ -135,11 +137,11 @@ object Hmm {
     * start.
     */
   def train(obs: IndexedSeq[Int], nStates: Int, nObs: Int,
-            maxIter: Int = 40, tol: Double = 1e-5, seed: Long = 7): Hmm = {
+            maxIter: Int = 40, seed: Long = 7): Hmm = {
     require(nStates >= 1, "nStates must be >= 1")
     require(nObs >= 1, "nObs must be >= 1")
     val init = random(nStates, nObs, seed)
     if (obs.isEmpty) init
-    else ofOneInput(IoHmm.baumWelch(init.asIoHmm, oneInput(obs), maxIter, tol))
+    else ofOneInput(IoHmm.baumWelch(init.asIoHmm, oneInput(obs), maxIter))
   }
 }

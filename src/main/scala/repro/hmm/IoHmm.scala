@@ -141,6 +141,10 @@ final case class IoHmm(pi: Array[Double],
 
 object IoHmm {
 
+  private val ShrinkTau: Double = 8.0   // shrinkToBase τ of the conditioned emissions
+  private val ShrinkTauA: Double = 64.0 // shrinkToBase τ of the conditioned transitions
+  private val ZLaplace: Double = 0.5    // Laplace pseudo-count of every zTransition cell
+
   /** Row-normalized strictly-positive random initialization. */
   def random(nStates: Int, nInputs: Int, nObs: Int, seed: Long): IoHmm = {
     val rnd = new Random(seed)
@@ -170,21 +174,20 @@ object IoHmm {
     * back off to the base estimate instead of overfitting a handful of steps;
     * state identities stay aligned with the base because EM started from it.
     */
-  private def shrinkToBase(m: IoHmm, base: Hmm, obs: IndexedSeq[(Int, Int)],
-                           tauB: Double, tauA: Double): IoHmm = {
-    if ((tauB <= 0 && tauA <= 0) || m.nInputs <= 1) return m
+  private def shrinkToBase(m: IoHmm, base: Hmm, obs: IndexedSeq[(Int, Int)]): IoHmm = {
+    if (m.nInputs <= 1) return m
     val nz = Array.ofDim[Double](m.nInputs)
     obs.foreach { case (z, _) => nz(z) += 1.0 }
     def blend(slices: Array[Array[Array[Double]]], target: Array[Array[Double]],
               cols: Int, tau: Double): Array[Array[Array[Double]]] = {
       val out = Array.tabulate(m.nInputs, m.nStates, cols) { (z, j, c) =>
-        val w = if (tau <= 0) 1.0 else nz(z) / (nz(z) + tau)
+        val w = nz(z) / (nz(z) + tau)
         w * slices(z)(j)(c) + (1 - w) * target(j)(c)
       }
       out.foreach(_.foreach(Hmm.normalize))
       out
     }
-    IoHmm(m.pi, blend(m.a, base.a, m.nStates, tauA), blend(m.b, base.b, m.nObs, tauB))
+    IoHmm(m.pi, blend(m.a, base.a, m.nStates, ShrinkTauA), blend(m.b, base.b, m.nObs, ShrinkTau))
   }
 
   /** One-step transition matrix of the observed input sequence itself
@@ -192,9 +195,8 @@ object IoHmm {
     * next producer state from the last decoded one when predicting the next
     * category — the a-layer dynamics as seen through this consumer's stream.
     */
-  def zTransition(obs: IndexedSeq[(Int, Int)], nInputs: Int, alpha: Double = 0.5)
-      : Array[Array[Double]] = {
-    val m = Array.fill(nInputs, nInputs)(alpha)
+  def zTransition(obs: IndexedSeq[(Int, Int)], nInputs: Int): Array[Array[Double]] = {
+    val m = Array.fill(nInputs, nInputs)(ZLaplace)
     obs.map(_._1).sliding(2).foreach {
       case Seq(a, b) => m(a)(b) += 1.0
       case _ => ()
@@ -223,13 +225,12 @@ object IoHmm {
     * same way used in the a-HMM" after the joint-state reformulation, made
     * robust to the short per-user histories: with no producer signal the
     * model degrades gracefully to the single-layer HMM instead of below it.
-    * Conditioned transitions (`shrinkTauA`) are regularized harder than
-    * conditioned emissions (`shrinkTau`) — the per-z emission shift carries
+    * Conditioned transitions ([[ShrinkTauA]]) are regularized harder than
+    * conditioned emissions ([[ShrinkTau]]) — the per-z emission shift carries
     * the producer signal, while per-z transition estimates are the noisiest.
     */
   def train(obs: IndexedSeq[(Int, Int)], nStates: Int, nInputs: Int, nObs: Int,
-            maxIter: Int = 40, tol: Double = 1e-5, seed: Long = 11,
-            shrinkTau: Double = 8.0, shrinkTauA: Double = 64.0): IoHmm = {
+            maxIter: Int = 40, seed: Long = 11): IoHmm = {
     require(nStates >= 1 && nInputs >= 1 && nObs >= 1, "dimensions must be >= 1")
     val T = obs.length
     if (T == 0) return random(nStates, nInputs, nObs, seed)
@@ -237,19 +238,18 @@ object IoHmm {
       require(z >= 0 && z < nInputs, s"input $z out of range [0,$nInputs)")
       require(c >= 0 && c < nObs, s"obs $c out of range [0,$nObs)")
     }
-    val base = Hmm.train(obs.map(_._2), nStates, nObs, maxIter, tol, seed)
-    val model = baumWelch(fromBase(base, nInputs), obs, maxIter, tol)
-    shrinkToBase(model, base, obs, shrinkTau, shrinkTauA)
+    val base = Hmm.train(obs.map(_._2), nStates, nObs, maxIter, seed)
+    val model = baumWelch(fromBase(base, nInputs), obs, maxIter)
+    shrinkToBase(model, base, obs)
   }
 
   /** Baum-Welch (EM) from `init`: input-conditioned sufficient statistics go
     * to the `z`-indexed slice active at each step. Iterates until the
-    * log-likelihood gain drops below `tol` or `maxIter` is hit. A small
+    * log-likelihood gain drops below [[Hmm.Tol]] or `maxIter` is hit. A small
     * Dirichlet-style floor keeps rows strictly positive so Viterbi and
     * prediction never hit log(0).
     */
-  private[hmm] def baumWelch(init: IoHmm, obs: IndexedSeq[(Int, Int)],
-                             maxIter: Int, tol: Double): IoHmm = {
+  private[hmm] def baumWelch(init: IoHmm, obs: IndexedSeq[(Int, Int)], maxIter: Int): IoHmm = {
     val T = obs.length
     val n = init.nStates
     val nInputs = init.nInputs
@@ -314,7 +314,7 @@ object IoHmm {
       newB.foreach(_.foreach(Hmm.normalize))
       model = IoHmm(newPi, newA, newB)
       val ll = scales.map(s => math.log(math.max(s, 1e-300))).sum
-      if (ll - prevLl < tol && iter > 0) done = true
+      if (ll - prevLl < Hmm.Tol && iter > 0) done = true
       prevLl = ll
       iter += 1
     }

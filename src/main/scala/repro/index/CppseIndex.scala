@@ -107,7 +107,7 @@ final class CppseIndex(val nBuckets: Int,
     * populate the chained hash table from each user's category-entity pairs.
     */
   def build(allProfiles: Iterable[UserProfile], maxBlocks: Int,
-            blockThreshold: Double = 0.6): this.type = {
+            blockThreshold: Double = OnePassClustering.DefaultThreshold): this.type = {
     val ordered = allProfiles.toSeq.sortBy(_.userId)
     val assignment = OnePassClustering.cluster(
       ordered.map(p => (p.userId, p.categoryVector)), maxBlocks, blockThreshold)
@@ -160,9 +160,10 @@ final class CppseIndex(val nBuckets: Int,
     * naive method of Section V, used as the ground truth for `topK`.
     */
   def scanTopK(q: ItemQuery, k: Int): Seq[(Long, Double)] =
-    profiles.valuesIterator
-      .map(p => (p.userId, Ranking.score(Profiles.entryStats(p, q.category, params.mu, collection), q, params, collection)))
-      .toSeq.sortBy { case (u, s) => (-s, u) }.take(k)
+    Ranking.topK(profiles.valuesIterator.map { p =>
+      val s = Profiles.entryStats(p, q.category, params.mu, collection)
+      (p.userId, Ranking.score(s, q, params, collection))
+    }, k)
 
   // ------------------------------------------------------------ maintenance
 
@@ -209,4 +210,10 @@ final class CppseIndex(val nBuckets: Int,
     }
     UpdateReport(updated, created, freshTriads)
   }
+}
+
+object CppseIndex {
+  /** Hash-table buckets (Section V-A) and tree fanout of every index ssRec builds. */
+  val Buckets: Int = 2048
+  val Fanout: Int = 8
 }

@@ -9,6 +9,9 @@ package repro.index
   */
 object OnePassClustering {
 
+  /** Cosine that joins an existing block while the budget lasts (no paper value). */
+  val DefaultThreshold: Double = 0.6
+
   /** Cosine similarity; zero vectors are treated as orthogonal to everything. */
   def cosine(a: Array[Double], b: Array[Double]): Double = {
     require(a.length == b.length, "dimension mismatch")
@@ -22,7 +25,7 @@ object OnePassClustering {
     * @return block id per input id, in `[0, numBlocks)`.
     */
   def cluster(vectors: Seq[(Long, Array[Double])], maxBlocks: Int,
-              threshold: Double = 0.6): Map[Long, Int] = {
+              threshold: Double = DefaultThreshold): Map[Long, Int] = {
     require(maxBlocks >= 1, "maxBlocks must be >= 1")
     val centroids = scala.collection.mutable.ArrayBuffer.empty[Array[Double]]
     val sizes = scala.collection.mutable.ArrayBuffer.empty[Long]

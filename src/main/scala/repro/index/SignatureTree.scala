@@ -153,20 +153,12 @@ final class SignatureTree(val block: Int, val category: Int, val fanout: Int)
 
 object SignatureTree {
 
-  /** Result-heap order: the head is the worst kept entry — the lowest score,
-    * then the highest userId.
-    */
-  private val worstFirst: Ordering[(Double, Long)] = (a, b) => {
-    val c = java.lang.Double.compare(b._1, a._1)
-    if (c != 0) c else java.lang.Long.compare(a._2, b._2)
-  }
-
   /** Algorithm 1: branch-and-bound KNN over the given tree roots. A priority
     * queue ordered by the IEntry upper bound (Lemma 2) is seeded with the
     * roots; entries whose bound reaches the current k-th best score `LB` are
     * expanded, and leaves are collected into a size-k result heap. Results rank
-    * by score descending, then userId ascending — the order of
-    * [[CppseIndex.scanTopK]] — so an entry is pruned only when its bound is
+    * in [[Ranking.rankOrder]] (score descending, then userId ascending), like
+    * [[CppseIndex.scanTopK]], so an entry is pruned only when its bound is
     * strictly below `LB`: a bound equal to `LB` may still hold a lower userId.
     */
   def search(roots: IterableOnce[SigNode], q: ItemQuery, k: Int, prm: RankParams,
@@ -175,23 +167,16 @@ object SignatureTree {
     val queue = mutable.PriorityQueue.empty[(Double, SigNode)](
       Ordering.by[(Double, SigNode), Double](_._1))
     roots.iterator.foreach(r => queue.enqueue((Ranking.score(r.stats, q, prm, col), r)))
-    val result = mutable.PriorityQueue.empty[(Double, Long)](worstFirst)
-    def full: Boolean = result.size >= k
-    def lb: Double = if (full) result.head._1 else Double.NegativeInfinity
-    while (queue.nonEmpty && !(full && queue.head._1 < lb)) queue.dequeue() match {
-      case (s, leaf: SigLeaf) =>
-        // Here s >= LB; on a tie the lower userId wins.
-        if (!full || s > lb || leaf.userId < result.head._2) {
-          result.enqueue((s, leaf.userId))
-          if (result.size > k) result.dequeue()
-        }
+    val top = new Ranking.TopK(k)
+    def lb: Double = top.kthScore
+    while (queue.nonEmpty && queue.head._1 >= lb) queue.dequeue() match {
+      case (s, leaf: SigLeaf) => top.offer((leaf.userId, s)) // s >= LB; a tie keeps the lower userId
       case (_, inner: SigInner) =>
         inner.children.foreach { ch =>
           val s = Ranking.score(ch.stats, q, prm, col)
           if (s >= lb) queue.enqueue((s, ch))
         }
     }
-    val drained: Seq[(Double, Long)] = result.dequeueAll
-    drained.reverse.map { case (s, u) => (u, s) }
+    top.drain()
   }
 }

@@ -27,8 +27,6 @@ final case class Interaction(userId: Long, itemId: Long, ts: Long, category: Int
   * @param producerMix weight γ with which a browsing step is driven by the
   *        producer's current hidden state rather than the consumer's own chain
   *        — the dependency BiHMM captures and plain HMM cannot.
-  * @param burstProb probability of entering a short burst session (4–7 items
-  *        on one topic) — what makes the short-term window matter.
   */
 final case class SocialConfig(
     name: String,
@@ -38,11 +36,8 @@ final case class SocialConfig(
     nEntities: Int,
     nItems: Int,
     avgHistory: Int,
-    producerStates: Int = 3,
-    consumerStates: Int = 3,
     plantedStatesMod8: Boolean = false,
     producerMix: Double = 0.5,
-    burstProb: Double = 0.12,
     seed: Long = 42L,
 ) {
   require(nEntities >= nCategories, "need at least one entity per category pool")
@@ -87,6 +82,11 @@ object SocialData {
 
   /** The four datasets of Table III, in the paper's order. */
   def allConfigs: Seq[SocialConfig] = Seq(ytubeLite, synYtubeLite, mlensLite, synMlensLite)
+
+  // Chance of a burst session (4–7 items on one topic): what makes |W| matter.
+  private val BurstProb: Double = 0.12
+  // Planted states of a producer, or of a consumer unless `plantedStatesMod8`.
+  private def plantedStates(id: Long): Int = 2 + (id % 2).toInt
 
   private def mix(seed: Long, id: Long): Long = {
     var x = seed ^ (id * 0x9E3779B97F4A7C15L)
@@ -166,7 +166,7 @@ object SocialData {
     val c = cfg
     spark.range(c.nProducers).as[Long].flatMap { p =>
       val rnd = new Random(mix(c.seed, p))
-      val nStates = 2 + (p % math.max(1, c.producerStates - 1)).toInt
+      val nStates = plantedStates(p)
       val perProducer = c.nItems / c.nProducers + (if (p < c.nItems % c.nProducers) 1 else 0)
       var state = rnd.nextInt(nStates)
       (0 until perProducer).map { j =>
@@ -210,8 +210,7 @@ object SocialData {
       val rnd = new Random(mix(c.seed + 1, u))
       val byCat  = bcByCat.value
       val byProd = bcByProd.value
-      val nStates = if (c.plantedStatesMod8) 1 + (u % 8).toInt
-                    else 2 + (u % math.max(1, c.consumerStates - 1)).toInt
+      val nStates = if (c.plantedStatesMod8) 1 + (u % 8).toInt else plantedStates(u)
       val nFollow = 2 + rnd.nextInt(3)
       // Follow producers whose category offset matches the consumer's home
       // offset — users cluster around shared producers and entity pools, the
@@ -290,7 +289,7 @@ object SocialData {
       (0 until len).map { j =>
         val item: Item =
           if (burstLeft > 0) { burstLeft -= 1; pickFromCategory(burstCat) }
-          else if (rnd.nextDouble() < c.burstProb) {
+          else if (rnd.nextDouble() < BurstProb) {
             // A bursting event at a followed producer captures the consumer
             // for a short session on that topic (paper Fig. 2).
             val anchor = recentItemOf(pickProducer(), j)

@@ -81,13 +81,13 @@ object StreamingRec {
     * layout — the streaming operator partitions users by category group, so
     * block-level pruning is already provided by the grouping).
     */
-  def initialCatStates(model: SsRecModel, fanout: Int = 8): Seq[(Int, CatState)] = {
+  def initialCatStates(model: SsRecModel): Seq[(Int, CatState)] = {
     val col = model.index.collection
     val prm = model.index.params
     (0 until model.cfg.nCategories).map { c =>
       val entries = model.index.profiles.values.toSeq.sortBy(_.userId)
         .map(p => (p.userId, Profiles.entryStats(p, c, prm.mu, col)))
-      c -> CatState(new SignatureTree(0, c, fanout).build(entries), prm, col)
+      c -> CatState(new SignatureTree(0, c, model.index.fanout).build(entries), prm, col)
     }
   }
 

@@ -5,7 +5,7 @@ import repro.socialdata.{Interaction, SocialData}
 
 class BiHmmSpec extends SparkSpec {
   private val cfg = SocialData.tiny
-  private val bihmm = BiHmmConfig(cfg.nCategories, nAStates = 3, nBStates = 2, maxIter = 15)
+  private val bihmm = BiHmmConfig(cfg.nCategories, nBStates = 2, maxIter = 15)
   private lazy val items = SocialData.items(spark, cfg).cache()
   private lazy val producers = BiHmm.trainProducers(items, bihmm)
   private lazy val zOfItem = producers.valuesIterator.flatMap(_.zOfItem).toMap
@@ -65,15 +65,15 @@ class BiHmmSpec extends SparkSpec {
   }
 
   test("ProducerTracker decodes known producers and defaults unknown ones") {
-    val tracker = new ProducerTracker(producers, bihmm.nAStates)
+    val tracker = new ProducerTracker(producers)
     val z = tracker.zFor(0L, 1)
     assert(z >= 0 && z < bihmm.nAStates)
     assert(tracker.zFor(99999L, 1) == 0)
   }
 
   test("ProducerTracker advances its trailing window deterministically") {
-    val t1 = new ProducerTracker(producers, bihmm.nAStates)
-    val t2 = new ProducerTracker(producers, bihmm.nAStates)
+    val t1 = new ProducerTracker(producers)
+    val t2 = new ProducerTracker(producers)
     val seq1 = (0 until 10).map(i => t1.zFor(1L, i % cfg.nCategories))
     val seq2 = (0 until 10).map(i => t2.zFor(1L, i % cfg.nCategories))
     assert(seq1 == seq2)

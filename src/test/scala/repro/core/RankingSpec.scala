@@ -105,6 +105,17 @@ class RankingSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](RankParams(mu = 0.0))
   }
 
+  test("topK keeps the lower userIds among equal scores straddling rank k") {
+    val scored = Seq(9L -> -1.0, 4L -> -2.0, 7L -> -1.0, 2L -> -3.0, 5L -> -1.0, 1L -> -0.5)
+    assert(Ranking.topK(scored, 3) == Seq(1L -> -0.5, 5L -> -1.0, 7L -> -1.0))
+    val rnd = new Random(4)
+    (1 to 50).foreach { _ =>
+      val many = rnd.shuffle((0L until 40L).map(u => u -> (-rnd.nextInt(4)).toDouble))
+      val k = 1 + rnd.nextInt(45)
+      assert(Ranking.topK(many, k) == many.sortBy { case (u, s) => (-s, u) }.take(k))
+    }
+  }
+
   test("merged stats never score below either operand (bound used by Alg. 1)") {
     val rnd = new Random(3)
     (1 to 50).foreach { _ =>

@@ -62,7 +62,7 @@ class SsRecSpec extends SparkSpec {
     val v = testItems.head
     val z1 = model.zOf(v)
     val z2 = model.zOf(v)
-    assert(z1 == z2 && z1 >= 0 && z1 < ss.nAStates)
+    assert(z1 == z2 && z1 >= 0 && z1 < ss.bihmm.nAStates)
   }
 
   test("queryOf uses the expansion table only when enabled") {

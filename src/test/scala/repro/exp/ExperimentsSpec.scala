@@ -1,6 +1,7 @@
 package repro.exp
 
 import repro.SparkSpec
+import repro.eval.Protocol
 import repro.socialdata.SocialData
 
 /** Tiny-scale integration runs of every table/figure harness. Benches rerun
@@ -77,6 +78,14 @@ class ExperimentsSpec extends SparkSpec {
     val rows = Experiments.fig7(trained, ss, window = 3, lambdas = Seq(0.2, 0.5, 0.8), k = 5)
     assert(rows.map(_.lambda) == Seq(0.2, 0.5, 0.8))
     rows.foreach(r => assert(r.pAtK >= 0 && r.pAtK <= 1))
+  }
+
+  test("sweepLambda at one lambda equals Protocol.evaluate on the exact index") {
+    val ks = Seq(5, 10)
+    val swept = Experiments.sweepLambda(Experiments.buildModel(trained, ss), trained.partitions,
+                                        Seq(ss.lambdaS), ks)
+    val exact = new Experiments.SsRecAdapter(Experiments.buildModel(trained, ss), "ssRec", exact = true)
+    assert(swept(ss.lambdaS) == Protocol.evaluate(trained.partitions, exact, ks))
   }
 
   test("fig8: all four methods report every k") {
