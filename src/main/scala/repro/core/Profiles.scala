@@ -27,21 +27,46 @@ final case class CollectionStats(bgProd: Map[Long, Double], bgEnt: Map[Int, Doub
 final case class EntryStats(pL: Double, pS: Double, invTot: Double,
                             prod: Map[Long, Double], ent: Map[Int, Double]) {
 
-  /** Upper-bound merge: element-wise max over every component (IEntry build). */
-  def merge(o: EntryStats): EntryStats = EntryStats(
-    math.max(pL, o.pL),
-    math.max(pS, o.pS),
-    math.max(invTot, o.invTot),
-    (prod.keySet ++ o.prod.keySet).iterator
-      .map(k => k -> math.max(prod.getOrElse(k, 0.0), o.prod.getOrElse(k, 0.0))).toMap,
-    (ent.keySet ++ o.ent.keySet).iterator
-      .map(k => k -> math.max(ent.getOrElse(k, 0.0), o.ent.getOrElse(k, 0.0))).toMap,
-  )
+  /** Upper-bound merge: element-wise max over every component, the
+    * two-entry case of [[EntryStats.max]].
+    */
+  def merge(o: EntryStats): EntryStats = EntryStats.max(Seq(this, o))
+}
+
+object EntryStats {
+
+  /** The IEntry of Section V-A over `xs`: the element-wise max of every
+    * component, a key absent from an entry counting as 0 (every component is
+    * non-negative). One pass over all entries: each map
+    * starts from the largest operand and takes only the keys another operand
+    * raises, so no intermediate pairwise union is built.
+    */
+  def max(xs: collection.Seq[EntryStats]): EntryStats = {
+    require(xs.nonEmpty, "max of no entries")
+    var pL, pS, invTot = Double.NegativeInfinity
+    xs.foreach { x =>
+      pL = math.max(pL, x.pL); pS = math.max(pS, x.pS); invTot = math.max(invTot, x.invTot)
+    }
+    EntryStats(pL, pS, invTot, maxMap(xs.map(_.prod)), maxMap(xs.map(_.ent)))
+  }
+
+  private def maxMap[K](maps: collection.Seq[Map[K, Double]]): Map[K, Double] = {
+    val widest = maps.maxBy(_.size)
+    var acc = widest
+    maps.foreach { m =>
+      if (m ne widest) m.foreachEntry { (k, v) =>
+        if (v > acc.getOrElse(k, Double.NegativeInfinity)) acc = acc.updated(k, v)
+      }
+    }
+    acc
+  }
 }
 
 /** A consumer's profile: short-term window `W` (flushed to the long-term list
   * `L` when full, Section IV-B), per-category long-term count statistics, the
-  * user's trained b-HMM, and the cached BiHMM category predictions.
+  * user's trained b-HMM, and the cached BiHMM category predictions along with
+  * the producer-state transition of the long-term sequence they were made
+  * from (`zLong`, [[repro.hmm.IoHmm.zTransition]] of `longSeq`).
   */
 final case class UserProfile(
     userId: Long,
@@ -56,6 +81,7 @@ final case class UserProfile(
     model: IoHmm,
     pLong: Array[Double],
     pShort: Array[Double],
+    zLong: Array[Array[Double]],
 ) {
 
   /** Total long-term interactions recorded under category c. */
@@ -116,22 +142,32 @@ object Profiles {
     * producer state is forecast from the learned z-dynamics of each sequence
     * (the a-layer mixture of Section IV-C).
     */
-  def refreshPredictions(p: UserProfile): UserProfile = {
-    val nZ = p.model.nInputs
+  def refreshPredictions(p: UserProfile): UserProfile =
+    predict(p, IoHmm.zTransition(p.longSeq, p.model.nInputs), None)
+
+  /** [[refreshPredictions]] of `p`, which is `old` after a batch of
+    * [[ingest]]s. When no window flushed, `longSeq` is still `old`'s, so
+    * `old`'s `pLong` and `zLong` are reused and only `pShort` is recomputed.
+    */
+  def refreshAfter(old: UserProfile, p: UserProfile): UserProfile =
+    if (p.longSeq eq old.longSeq) predict(p, old.zLong, Some(old.pLong))
+    else refreshPredictions(p)
+
+  private def predict(p: UserProfile, zLong: Array[Array[Double]],
+                      pLong: Option[Array[Double]]): UserProfile = {
     val longObs = p.longSeq
     val winObs  = p.window.map(e => (e.zHat, e.category))
-    val pL = p.model.nextObsDist(longObs, repro.hmm.IoHmm.zForecast(longObs, nZ))
+    val pL = pLong.getOrElse(p.model.nextObsDist(longObs, IoHmm.zForecast(longObs, zLong)))
     val pS =
       if (winObs.isEmpty) pL.clone()
       else {
         // Short windows carry too few bigrams for their own z-dynamics; use
         // the long-term transition applied to the window's last state.
-        val zd = longObs.lastOption.map(_ => repro.hmm.IoHmm.zTransition(longObs, nZ))
-          .map(tr => tr(winObs.last._1))
-          .getOrElse(repro.hmm.IoHmm.zForecast(winObs, nZ))
+        val zd = if (longObs.nonEmpty) zLong(winObs.last._1)
+                 else IoHmm.zForecast(winObs, p.model.nInputs)
         p.model.nextObsDist(winObs, zd)
       }
-    p.copy(pLong = pL, pShort = pS)
+    p.copy(pLong = pL, pShort = pS, zLong = zLong)
   }
 
   /** Build a profile by replaying a temporally-ordered history through
@@ -143,7 +179,8 @@ object Profiles {
       userId, nCategories, windowCap, Vector.empty,
       Array.ofDim[Double](nCategories), Map.empty, Map.empty,
       Vector.empty, longSeqCap, model,
-      Array.fill(nCategories)(1.0 / nCategories), Array.fill(nCategories)(1.0 / nCategories))
+      Array.fill(nCategories)(1.0 / nCategories), Array.fill(nCategories)(1.0 / nCategories),
+      Array.empty)
     refreshPredictions(history.foldLeft(empty)(ingest))
   }
 

@@ -210,10 +210,13 @@ object IoHmm {
     * back to the history's state histogram (then uniform) when empty.
     */
   def zForecast(obs: IndexedSeq[(Int, Int)], nInputs: Int): Array[Double] =
+    zForecast(obs, zTransition(obs, nInputs))
+
+  /** [[zForecast]] given the history's [[zTransition]] `tr`. */
+  def zForecast(obs: IndexedSeq[(Int, Int)], tr: Array[Array[Double]]): Array[Double] =
     obs.lastOption match {
-      case Some((zLast, _)) if zLast >= 0 && zLast < nInputs =>
-        zTransition(obs, nInputs)(zLast).clone()
-      case _ => Array.fill(nInputs)(1.0 / nInputs)
+      case Some((zLast, _)) if zLast >= 0 && zLast < tr.length => tr(zLast).clone()
+      case _ => Array.fill(tr.length)(1.0 / tr.length)
     }
 
   /** Train the input-conditioned model. A single-layer HMM is trained on the

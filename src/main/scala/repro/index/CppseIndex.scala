@@ -17,9 +17,11 @@ final class HashTriad(val key: String,
                       var next: HashTriad) extends Serializable
 
 /** Report of one maintenance pass (Algorithm 2) — used by tests and by the
-  * Fig-11 update-cost bench.
+  * Fig-11 update-cost bench. `ancestorRecomputes` counts the IEntries the
+  * pass recomputed, over all trees.
   */
-final case class UpdateReport(updatedUsers: Int, newUsers: Int, newHashTriads: Int)
+final case class UpdateReport(updatedUsers: Int, newUsers: Int, newHashTriads: Int,
+                              ancestorRecomputes: Int)
 
 /** The CPPse-index: a chained hash table from category-entity pairs to
   * extended signature trees, one tree per (user block × category), plus the
@@ -167,48 +169,52 @@ final class CppseIndex(val nBuckets: Int,
 
   // ------------------------------------------------------------ maintenance
 
-  /** Algorithm 2: apply a batch of profile updates. Existing users have their
-    * events ingested, predictions refreshed, and all their per-category leaf
-    * statistics (plus ancestor IEntries) recomputed; unseen category-entity
-    * pairs are inserted into the hash table; new users are blocked by best
-    * centroid cosine and inserted into every tree of their block.
+  /** Algorithm 2: apply a batch of profile updates, in two phases. First,
+    * existing users have their events ingested and predictions refreshed;
+    * their per-category leaf statistics are written into their block's trees,
+    * after which each tree recomputes every IEntry above the changed leaves
+    * once, bottom-up (the periodic maintenance of Section V-C). Then new users,
+    * in batch order, are blocked by best centroid cosine and inserted into
+    * every tree of their block. Unseen category-entity pairs of either kind of
+    * user are inserted into the hash table.
     *
+    * @param updates each user's new events, one entry per user.
     * @param makeProfile builds a profile (incl. b-HMM training) for new users.
     */
   def applyUpdates(updates: Seq[(Long, Seq[CompactEvent])],
                    makeProfile: (Long, Seq[CompactEvent]) => UserProfile): UpdateReport = {
-    var updated = 0; var created = 0; var freshTriads = 0
-    updates.foreach { case (userId, events) =>
-      profiles.get(userId) match {
-        case Some(old) =>
-          val refreshed = Profiles.refreshPredictions(events.foldLeft(old)(Profiles.ingest))
-          profiles(userId) = refreshed
-          val b = blockOfUser(userId)
-          freshTriads += linkProfilePairs(refreshed, b)
-          (0 until nCategories).foreach { c =>
-            val ok = forest(c)(b).update(
-              userId, Profiles.entryStats(refreshed, c, params.mu, collection))
-            require(ok, s"user $userId missing from tree ($b,$c)")
-          }
-          updated += 1
-        case None =>
-          val p = makeProfile(userId, events)
-          profiles(userId) = p
-          val v = p.categoryVector
-          val b =
-            if (centroids.isEmpty) { centroids += v.clone(); 0 }
-            else centroids.indices.maxBy(i => OnePassClustering.cosine(centroids(i), v))
-          blockOfUser(userId) = b
-          (0 until nCategories).foreach { c =>
-            val stats = Profiles.entryStats(p, c, params.mu, collection)
-            if (b < forest(c).size) forest(c)(b).insert(userId, stats)
-            else forest(c) += new SignatureTree(b, c, fanout).build(Seq((userId, stats)))
-          }
-          freshTriads += linkProfilePairs(p, b)
-          created += 1
+    require(updates.map(_._1).distinct.size == updates.size, "a user appears twice in one batch")
+    var freshTriads = 0; var recomputes = 0
+    val (known, fresh) = updates.partition { case (u, _) => profiles.contains(u) }
+    val refreshed = known.map { case (userId, events) =>
+      val old = profiles(userId)
+      val p = Profiles.refreshAfter(old, events.foldLeft(old)(Profiles.ingest))
+      profiles(userId) = p
+      freshTriads += linkProfilePairs(p, blockOfUser(userId))
+      p
+    }
+    refreshed.groupBy(p => blockOfUser(p.userId)).foreach { case (b, ps) =>
+      (0 until nCategories).foreach { c =>
+        recomputes += forest(c)(b).updateAll(
+          ps.map(p => p.userId -> Profiles.entryStats(p, c, params.mu, collection)))
       }
     }
-    UpdateReport(updated, created, freshTriads)
+    fresh.foreach { case (userId, events) =>
+      val p = makeProfile(userId, events)
+      profiles(userId) = p
+      val v = p.categoryVector
+      val b =
+        if (centroids.isEmpty) { centroids += v.clone(); 0 }
+        else centroids.indices.maxBy(i => OnePassClustering.cosine(centroids(i), v))
+      blockOfUser(userId) = b
+      (0 until nCategories).foreach { c =>
+        val stats = Profiles.entryStats(p, c, params.mu, collection)
+        if (b < forest(c).size) recomputes += forest(c)(b).insert(userId, stats)
+        else forest(c) += new SignatureTree(b, c, fanout).build(Seq((userId, stats)))
+      }
+      freshTriads += linkProfilePairs(p, b)
+    }
+    UpdateReport(known.size, fresh.size, freshTriads, recomputes)
   }
 }
 

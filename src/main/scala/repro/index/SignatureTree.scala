@@ -23,8 +23,9 @@ final class SigInner extends SigNode {
 }
 
 /** Extended signature tree over the users of one (block, category) pair.
-  * Supports bulk build, exact-upper-bound maintenance on leaf updates, and
-  * leaf insertion with node splits (the 20%-reserve trick of Section V-C is
+  * Supports bulk build, exact-upper-bound maintenance on batches of leaf
+  * updates (each IEntry above them recomputed once), and leaf insertion with
+  * node splits (the 20%-reserve trick of Section V-C is
   * subsumed by growing the sparse maps directly).
   */
 final class SignatureTree(val block: Int, val category: Int, val fanout: Int)
@@ -44,11 +45,26 @@ final class SignatureTree(val block: Int, val category: Int, val fanout: Int)
   def leafOf(userId: Long): Option[SigLeaf] = leavesById.get(userId)
 
   private def recomputeStats(n: SigInner): Unit =
-    n.stats = n.children.map(_.stats).reduce(_ merge _)
+    n.stats = EntryStats.max(n.children.map(_.stats))
 
-  private def recomputeUp(n: SigInner): Unit = {
-    var cur = n
-    while (cur != null) { recomputeStats(cur); cur = cur.parent }
+  /** Recompute every IEntry above the `changed` nodes exactly once, deepest
+    * first, so each one is rebuilt from final children (a recompute, not a
+    * max-merge: updated components may shrink).
+    * @return the number of IEntries recomputed.
+    */
+  private def recomputeAbove(changed: IterableOnce[SigNode]): Int = {
+    val dirty = mutable.HashSet.empty[SigInner]
+    changed.iterator.foreach { n =>
+      var p = n.parent
+      while (p != null && dirty.add(p)) p = p.parent
+    }
+    def depth(n: SigNode): Int = {
+      var d = 0; var p = n.parent
+      while (p != null) { d += 1; p = p.parent }
+      d
+    }
+    dirty.toArray.sortBy(n => -depth(n)).foreach(recomputeStats)
+    dirty.size
   }
 
   /** Bulk-load the tree bottom-up: leaves are packed `fanout` at a time into
@@ -73,34 +89,44 @@ final class SignatureTree(val block: Int, val category: Int, val fanout: Int)
     this
   }
 
-  /** Replace a user's leaf statistics and recompute every ancestor IEntry
-    * exactly (a recompute, not a max-merge: updated components may shrink).
+  /** Algorithm 2 on this tree: write every user's new leaf statistics, then
+    * recompute each IEntry above them once, bottom-up.
+    * @return the number of IEntries recomputed.
+    */
+  def updateAll(batch: Iterable[(Long, EntryStats)]): Int = {
+    batch.foreach { case (u, _) =>
+      require(leavesById.contains(u), s"user $u missing from tree ($block,$category)")
+    }
+    recomputeAbove(batch.map { case (u, s) => val leaf = leavesById(u); leaf.stats = s; leaf })
+  }
+
+  /** [[updateAll]] of one user.
     * @return false if the user is not in this tree.
     */
-  def update(userId: Long, stats: EntryStats): Boolean = leavesById.get(userId) match {
-    case None => false
-    case Some(leaf) =>
-      leaf.stats = stats
-      if (leaf.parent != null) recomputeUp(leaf.parent)
-      true
-  }
+  def update(userId: Long, stats: EntryStats): Boolean =
+    if (!leavesById.contains(userId)) false
+    else { updateAll(Seq(userId -> stats)); true }
 
   /** Insert a new user: descend into the smallest subtree, attach the leaf at
     * the deepest internal level, split overflowing nodes upward (a root split
-    * grows the tree by one level).
+    * grows the tree by one level), then recompute the IEntries above the leaf
+    * and the split-off nodes once, bottom-up.
+    * @return the number of IEntries recomputed.
     */
-  def insert(userId: Long, stats: EntryStats): Unit = {
+  def insert(userId: Long, stats: EntryStats): Int = {
     require(!leavesById.contains(userId), s"user $userId already present")
     val leaf = new SigLeaf(userId)
     leaf.stats = stats
     leavesById(userId) = leaf
+    // The new leaf and a child of both halves of every split: the IEntries
+    // above them are the ones the insert changed.
+    val changed = ArrayBuffer[SigNode](leaf)
     rootNode match {
       case null => rootNode = leaf
       case l: SigLeaf =>
         val inner = new SigInner
         inner.children += l; l.parent = inner
         inner.children += leaf; leaf.parent = inner
-        recomputeStats(inner)
         rootNode = inner
       case r: SigInner =>
         var cur = r
@@ -114,13 +140,11 @@ final class SignatureTree(val block: Int, val category: Int, val fanout: Int)
           val moved = node.children.takeRight(node.children.size / 2)
           node.children.remove(node.children.size - moved.size, moved.size)
           moved.foreach { m => m.parent = right; right.children += m }
-          recomputeStats(right)
-          recomputeStats(node)
+          changed += node.children.head += right.children.head
           if (node.parent == null) {
             val newRoot = new SigInner
             newRoot.children += node; node.parent = newRoot
             newRoot.children += right; right.parent = newRoot
-            recomputeStats(newRoot)
             rootNode = newRoot
             node = null
           } else {
@@ -130,8 +154,8 @@ final class SignatureTree(val block: Int, val category: Int, val fanout: Int)
             node = p
           }
         }
-        if (node != null) recomputeUp(node) else recomputeUp(rootNode.asInstanceOf[SigInner])
     }
+    recomputeAbove(changed)
   }
 
   private def subtreeSize(n: SigNode): Int = n match {

@@ -11,7 +11,7 @@ class ProfilesSpec extends AnyFunSuite {
   private def empty(cap: Int = 3): UserProfile = UserProfile(
     1L, NCats, cap, Vector.empty, Array.ofDim[Double](NCats), Map.empty, Map.empty,
     Vector.empty, 200, IoHmm.random(2, NZ, NCats, 1),
-    Array.fill(NCats)(1.0 / NCats), Array.fill(NCats)(1.0 / NCats))
+    Array.fill(NCats)(1.0 / NCats), Array.fill(NCats)(1.0 / NCats), Array.empty)
 
   private def ev(c: Int, p: Long = 0L, ents: Seq[Int] = Seq(1), z: Int = 0) =
     CompactEvent(c, p, ents, z)
@@ -132,5 +132,22 @@ class ProfilesSpec extends AnyFunSuite {
   test("collection backgrounds default for unknown ids") {
     assert(collection.producerBg(12345L) == 1.0 / NProd)
     assert(collection.entityBg(98765) == 1.0 / NEnt)
+  }
+
+  test("refreshAfter equals refreshPredictions, reusing pLong when no window flushed") {
+    val rnd = new Random(6)
+    var p = Profiles.build(5L, randEvents(rnd, 23), IoHmm.random(2, NZ, NCats, 5), NCats, 5)
+    var reused = 0
+    (1 to 40).foreach { i =>
+      val ingested = randEvents(rnd, rnd.nextInt(6) + 1).foldLeft(p)(Profiles.ingest)
+      val got = Profiles.refreshAfter(p, ingested)
+      val want = Profiles.refreshPredictions(ingested)
+      assert(got.pLong.toSeq == want.pLong.toSeq && got.pShort.toSeq == want.pShort.toSeq, s"batch $i")
+      assert(got.zLong.map(_.toSeq).toSeq == want.zLong.map(_.toSeq).toSeq, s"batch $i")
+      assert(got.window == want.window && got.longSeq == want.longSeq)
+      if (ingested.longSeq eq p.longSeq) { assert(got.pLong eq p.pLong); reused += 1 }
+      p = got
+    }
+    assert(reused > 0 && reused < 40, s"$reused of 40 batches flushed no window")
   }
 }

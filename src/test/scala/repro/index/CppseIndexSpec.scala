@@ -187,4 +187,80 @@ class CppseIndexSpec extends AnyFunSuite {
     val maxMany = (0 until many.numBlocks).map(many.blockEntityCount).max
     assert(maxOne >= maxMany)
   }
+
+  /** Every tree of the index: leaves equal the stored profiles' entry
+    * statistics, IEntries equal the max of their children.
+    */
+  private def assertExactTrees(idx: CppseIndex, what: String): Unit =
+    (0 until NCats).foreach { c =>
+      idx.treesOfCategory(c).foreach { t =>
+        t.leaves.foreach { case (u, s) =>
+          assert(s == Profiles.entryStats(idx.profiles(u), c, params.mu, collection), s"$what: leaf $u")
+        }
+        t.root.foreach(r => assert(inexactIEntries(r) == 0, s"$what: stale IEntry in (${t.block},$c)"))
+      }
+    }
+
+  private def height(t: SignatureTree): Int =
+    Iterator.iterate(t.root.orNull) {
+      case i: SigInner => i.children.head
+      case _ => null
+    }.takeWhile(_ != null).size
+
+  test("applyUpdates keeps IEntries exact and exact topK equal to scan over random batches") {
+    val rnd = new Random(18)
+    val idx = makeIndex(30, 2, 18)
+    var next = 1000L
+    (1 to 8).foreach { round =>
+      // Some existing users (flushing or not), and a few new ones.
+      val known = rnd.shuffle(idx.profiles.keys.toList).take(rnd.nextInt(12) + 1)
+        .map(u => u -> randEvents(rnd, rnd.nextInt(12) + 1))
+      val fresh = (0 until rnd.nextInt(3)).map { _ => next += 1; next -> randEvents(rnd, 8) }
+      val report = idx.applyUpdates((known ++ fresh).sortBy(_._1), makeProfileFor)
+      assert(report.updatedUsers == known.size && report.newUsers == fresh.size)
+      assertExactTrees(idx, s"round $round")
+      (1 to 10).foreach { i =>
+        val q = randQuery(rnd)
+        val k = rnd.nextInt(12) + 1
+        assert(idx.topK(q, k, exact = true) == idx.scanTopK(q, k), s"round $round, query $i")
+      }
+    }
+  }
+
+  test("applyUpdates: one batch of updates and new users that split nodes and grow roots") {
+    val rnd = new Random(19)
+    val idx = makeIndex(12, 2, 19)
+    val heights = (0 until NCats).map(c => idx.treesOfCategory(c).map(height))
+    val ups = idx.profiles.keys.toSeq.map(u => u -> randEvents(rnd, 9)) ++
+      (2000L until 2040L).map(u => u -> randEvents(rnd, 8))
+    val report = idx.applyUpdates(ups, makeProfileFor)
+    assert(report.updatedUsers == 12 && report.newUsers == 40)
+    assert((0 until NCats).exists(c => idx.treesOfCategory(c).map(height).zip(heights(c)).exists {
+      case (after, before) => after > before
+    }), "no root grew")
+    assertExactTrees(idx, "mixed batch")
+    (1 to 30).foreach { i =>
+      val q = randQuery(rnd)
+      val k = rnd.nextInt(15) + 1
+      assert(idx.topK(q, k, exact = true) == idx.scanTopK(q, k), s"query $i")
+    }
+  }
+
+  test("applyUpdates recomputes each dirty IEntry once (UpdateReport.ancestorRecomputes)") {
+    val rnd = new Random(20)
+    val idx = makeIndex(40, 3, 20)
+    val users = rnd.shuffle((0L until 40L).toList).take(25).sorted
+    val dirty = (0 until NCats).map { c =>
+      idx.treesOfCategory(c).map(t => ancestorsOf(users.flatMap(t.leafOf)).size).sum
+    }.sum
+    val report = idx.applyUpdates(users.map(u => u -> randEvents(rnd, 6)), makeProfileFor)
+    assert(report.ancestorRecomputes <= dirty)
+    assert(report.ancestorRecomputes == dirty, "every IEntry above a changed leaf is recomputed")
+  }
+
+  test("applyUpdates rejects a user listed twice in one batch") {
+    val idx = makeIndex(5, 1, 21)
+    val evs = randEvents(new Random(21), 3)
+    intercept[IllegalArgumentException](idx.applyUpdates(Seq(1L -> evs, 1L -> evs), makeProfileFor))
+  }
 }

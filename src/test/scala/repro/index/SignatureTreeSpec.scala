@@ -177,4 +177,71 @@ class SignatureTreeSpec extends AnyFunSuite {
     val res = ScTest.check(ScTest.Parameters.default.withMinSuccessfulTests(100), prop)
     assert(res.passed, res.status.toString)
   }
+
+  /** `s` with every component scaled by `f` and each map key dropped with
+    * probability 1/3 — a leaf whose components shrink.
+    */
+  private def shrunk(s: EntryStats, f: Double, rnd: Random): EntryStats = EntryStats(
+    s.pL * f, s.pS * f, s.invTot * f,
+    s.prod.collect { case (k, v) if rnd.nextInt(3) > 0 => k -> v * f },
+    s.ent.collect { case (k, v) if rnd.nextInt(3) > 0 => k -> v * f })
+
+  test("updateAll keeps every IEntry exactly the max of its children") {
+    val rnd = new Random(16)
+    val t = tree(entries(60, 16), fanout = 3)
+    assert(inexactIEntries(t.root.get) == 0)
+    (1 to 25).foreach { round =>
+      val users = rnd.shuffle((0L until 60L).toList).take(rnd.nextInt(20) + 1)
+      val batch = users.map { u =>
+        val s = t.leafOf(u).get.stats
+        u -> (if (rnd.nextBoolean()) shrunk(s, rnd.nextDouble() * 0.9 + 0.05, rnd) else randStats(rnd))
+      }
+      val dirty = ancestorsOf(users.map(t.leafOf(_).get))
+      assert(t.updateAll(batch) == dirty.size, s"round $round: one recompute per dirty IEntry")
+      batch.foreach { case (u, s) => assert(t.leafOf(u).get.stats == s) }
+      assert(inexactIEntries(t.root.get) == 0, s"round $round: stale IEntry")
+      val q = randQuery(rnd)
+      assert(t.knn(q, 7, params, collection) == bruteForce(t, q, 7), s"round $round")
+    }
+  }
+
+  test("updateAll rejects a batch with a user missing from the tree, before any change") {
+    val t = tree(entries(10, 17))
+    val before = t.leaves.toMap
+    val e = intercept[IllegalArgumentException](
+      t.updateAll(Seq(1L -> randStats(new Random(17)), 999L -> randStats(new Random(18)))))
+    assert(e.getMessage.contains("user 999 missing from tree (0,0)"))
+    assert(t.leaves.toMap == before)
+  }
+
+  test("insert keeps every IEntry exact through splits and root growth") {
+    val rnd = new Random(18)
+    val t = tree(entries(9, 18), fanout = 3)
+    val roots = scala.collection.mutable.Set[SigNode](t.root.get)
+    (100L until 160L).foreach { u =>
+      val recomputed = t.insert(u, randStats(rnd))
+      // The leaf's path, plus the split-off half of each node that split.
+      val path = ancestorsOf(Seq(t.leafOf(u).get)).size
+      assert(recomputed >= path && recomputed <= 2 * path, s"user $u: $recomputed for a path of $path")
+      roots += t.root.get
+      assert(inexactIEntries(t.root.get) == 0, s"after inserting user $u")
+    }
+    assert(roots.size > 1, "the root never split")
+  }
+
+  test("scalacheck: the k-way max equals a left fold of pairwise merges") {
+    import org.scalacheck.{Gen, Prop, Test => ScTest}
+    val genStats = Gen.choose(1L, 100000L).map(s => randStats(new Random(s)))
+    val genList = Gen.choose(1, 9).flatMap(n => Gen.listOfN(n, genStats))
+    def keyMax[K](ms: Seq[Map[K, Double]]): Map[K, Double] =
+      ms.flatMap(_.keys).distinct.map(k => k -> ms.map(_.getOrElse(k, 0.0)).max).toMap
+    val prop = Prop.forAll(genList) { xs =>
+      val m = EntryStats.max(xs)
+      m == xs.reduceLeft(_ merge _) &&
+        m == EntryStats(xs.map(_.pL).max, xs.map(_.pS).max, xs.map(_.invTot).max,
+                        keyMax(xs.map(_.prod)), keyMax(xs.map(_.ent)))
+    }
+    val res = ScTest.check(ScTest.Parameters.default.withMinSuccessfulTests(200), prop)
+    assert(res.passed, res.status.toString)
+  }
 }

@@ -2,6 +2,7 @@ package repro.testutil
 
 import repro.core._
 import repro.hmm.IoHmm
+import repro.index.{SigInner, SigLeaf, SigNode}
 import scala.util.Random
 
 /** Shared generators for index/core tests that need profiles, entry
@@ -56,4 +57,18 @@ object Fixtures {
   def randProfile(userId: Long, rnd: Random, nEvents: Int = 30, windowCap: Int = 5): UserProfile =
     Profiles.build(userId, randEvents(rnd, nEvents),
                    IoHmm.random(2, NZ, NCats, seed = userId), NCats, windowCap)
+
+  /** The IEntries under `n` (inclusive) that differ from the element-wise max
+    * of their children: stale ones, even if they still upper-bound them.
+    */
+  def inexactIEntries(n: SigNode): Int = n match {
+    case _: SigLeaf => 0
+    case i: SigInner =>
+      (if (i.stats == EntryStats.max(i.children.map(_.stats))) 0 else 1) +
+        i.children.iterator.map(inexactIEntries).sum
+  }
+
+  /** Distinct IEntries on the paths from the given leaves to the root. */
+  def ancestorsOf(leaves: Iterable[SigNode]): Set[SigInner] =
+    leaves.iterator.flatMap(l => Iterator.iterate(l.parent)(_.parent).takeWhile(_ != null)).toSet
 }
