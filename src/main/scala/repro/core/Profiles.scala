@@ -21,44 +21,125 @@ final case class CollectionStats(bgProd: Map[Long, Double], bgEnt: Map[Int, Doub
 /** The statistics a signature-tree entry carries for one (user, category):
   * `⟨p_ℓ(c), P_{Uᵖ|c}, P_{E|c}, p_s(c)⟩` plus `invTot = 1/(tot_c + μ)` so the
   * smoothing floor of absent producers/entities can be evaluated (and upper-
-  * bounded at internal entries). Maps hold *smoothed* probabilities, so an
-  * element-wise max over children is a valid upper bound (Lemmas 1–2).
+  * bounded at internal entries). The two impact lists are the paper's encoded
+  * signature (Eq. 6): keys sorted strictly ascending, each with its *smoothed*
+  * probability at the same index, so an element-wise max over children is a
+  * valid upper bound (Lemmas 1–2). No array is written after construction.
+  * Equality is by value, bit for bit, as `java.util.Arrays.equals`.
   */
-final case class EntryStats(pL: Double, pS: Double, invTot: Double,
-                            prod: Map[Long, Double], ent: Map[Int, Double]) {
+final class EntryStats(val pL: Double, val pS: Double, val invTot: Double,
+                       val prodKeys: Array[Long], val prodVals: Array[Double],
+                       val entKeys: Array[Int], val entVals: Array[Double]) extends Serializable {
+
+  /** The producer list as a map: a conversion for tests, not for a hot path. */
+  def prod: Map[Long, Double] = prodKeys.iterator.zip(prodVals.iterator).toMap
+
+  /** The entity list as a map: a conversion for tests, not for a hot path. */
+  def ent: Map[Int, Double] = entKeys.iterator.zip(entVals.iterator).toMap
 
   /** Upper-bound merge: element-wise max over every component, the
     * two-entry case of [[EntryStats.max]].
     */
   def merge(o: EntryStats): EntryStats = EntryStats.max(Seq(this, o))
+
+  override def equals(o: Any): Boolean = o match {
+    case x: EntryStats =>
+      java.lang.Double.compare(pL, x.pL) == 0 && java.lang.Double.compare(pS, x.pS) == 0 &&
+        java.lang.Double.compare(invTot, x.invTot) == 0 &&
+        java.util.Arrays.equals(prodKeys, x.prodKeys) && java.util.Arrays.equals(prodVals, x.prodVals) &&
+        java.util.Arrays.equals(entKeys, x.entKeys) && java.util.Arrays.equals(entVals, x.entVals)
+    case _ => false
+  }
+
+  override def hashCode: Int = java.util.Arrays.hashCode(Array(
+    java.lang.Double.hashCode(pL), java.lang.Double.hashCode(pS), java.lang.Double.hashCode(invTot),
+    java.util.Arrays.hashCode(prodKeys), java.util.Arrays.hashCode(prodVals),
+    java.util.Arrays.hashCode(entKeys), java.util.Arrays.hashCode(entVals)))
+
+  override def toString: String = s"EntryStats($pL, $pS, $invTot, $prod, $ent)"
 }
 
 object EntryStats {
 
+  /** Entry statistics from impact-list maps, in any key order: a conversion
+    * for tests, not for a hot path.
+    */
+  def apply(pL: Double, pS: Double, invTot: Double,
+            prod: Map[Long, Double], ent: Map[Int, Double]): EntryStats = {
+    val pk = prod.keys.toArray.sorted
+    val ek = ent.keys.toArray.sorted
+    new EntryStats(pL, pS, invTot, pk, pk.map(prod), ek, ek.map(ent))
+  }
+
   /** The IEntry of Section V-A over `xs`: the element-wise max of every
     * component, a key absent from an entry counting as 0 (every component is
-    * non-negative). One pass over all entries: each map
-    * starts from the largest operand and takes only the keys another operand
-    * raises, so no intermediate pairwise union is built.
+    * non-negative). Each impact list is one linear k-way sorted union of the
+    * operands' lists.
     */
   def max(xs: collection.Seq[EntryStats]): EntryStats = {
     require(xs.nonEmpty, "max of no entries")
+    val n = xs.length
     var pL, pS, invTot = Double.NegativeInfinity
+    val pks = new Array[Array[Long]](n); val pvs = new Array[Array[Double]](n)
+    val eks = new Array[Array[Int]](n); val evs = new Array[Array[Double]](n)
+    var i = 0
     xs.foreach { x =>
       pL = math.max(pL, x.pL); pS = math.max(pS, x.pS); invTot = math.max(invTot, x.invTot)
+      pks(i) = x.prodKeys; pvs(i) = x.prodVals; eks(i) = x.entKeys; evs(i) = x.entVals
+      i += 1
     }
-    EntryStats(pL, pS, invTot, maxMap(xs.map(_.prod)), maxMap(xs.map(_.ent)))
+    val (pk, pv) = unionMax(pks, pvs)
+    val (ek, ev) = unionMax(eks, evs)
+    new EntryStats(pL, pS, invTot, pk, pv, ek, ev)
   }
 
-  private def maxMap[K](maps: collection.Seq[Map[K, Double]]): Map[K, Double] = {
-    val widest = maps.maxBy(_.size)
-    var acc = widest
-    maps.foreach { m =>
-      if (m ne widest) m.foreachEntry { (k, v) =>
-        if (v > acc.getOrElse(k, Double.NegativeInfinity)) acc = acc.updated(k, v)
+  /** The sorted union of the sorted lists `keys(j)`, each key with the
+    * largest of its values in `vals(j)`. Each step takes the smallest key not
+    * yet merged and advances every list holding it.
+    */
+  private def unionMax(keys: Array[Array[Long]], vals: Array[Array[Double]]): (Array[Long], Array[Double]) = {
+    val at = new Array[Int](keys.length)
+    val outK = new Array[Long](keys.iterator.map(_.length).sum)
+    val outV = new Array[Double](outK.length)
+    var m = 0
+    while (m < outK.length) {
+      var min = Long.MaxValue; var found = false; var j = 0
+      while (j < keys.length) {
+        if (at(j) < keys(j).length && (!found || keys(j)(at(j)) < min)) { min = keys(j)(at(j)); found = true }
+        j += 1
       }
+      if (!found) return (java.util.Arrays.copyOf(outK, m), java.util.Arrays.copyOf(outV, m))
+      var v = Double.NegativeInfinity; j = 0
+      while (j < keys.length) {
+        if (at(j) < keys(j).length && keys(j)(at(j)) == min) { v = math.max(v, vals(j)(at(j))); at(j) += 1 }
+        j += 1
+      }
+      outK(m) = min; outV(m) = v; m += 1
     }
-    acc
+    (outK, outV)
+  }
+
+  /** [[unionMax]] over `Int` keys, line for line. */
+  private def unionMax(keys: Array[Array[Int]], vals: Array[Array[Double]]): (Array[Int], Array[Double]) = {
+    val at = new Array[Int](keys.length)
+    val outK = new Array[Int](keys.iterator.map(_.length).sum)
+    val outV = new Array[Double](outK.length)
+    var m = 0
+    while (m < outK.length) {
+      var min = Int.MaxValue; var found = false; var j = 0
+      while (j < keys.length) {
+        if (at(j) < keys(j).length && (!found || keys(j)(at(j)) < min)) { min = keys(j)(at(j)); found = true }
+        j += 1
+      }
+      if (!found) return (java.util.Arrays.copyOf(outK, m), java.util.Arrays.copyOf(outV, m))
+      var v = Double.NegativeInfinity; j = 0
+      while (j < keys.length) {
+        if (at(j) < keys(j).length && keys(j)(at(j)) == min) { v = math.max(v, vals(j)(at(j))); at(j) += 1 }
+        j += 1
+      }
+      outK(m) = min; outV(m) = v; m += 1
+    }
+    (outK, outV)
   }
 }
 
@@ -186,19 +267,21 @@ object Profiles {
 
   /** Extract the signature-tree leaf statistics of one user under one
     * category. Stored probabilities are Dirichlet-smoothed:
-    * `p̂(x|u,c) = (n(x,u,c) + μ·p_bg(x)) / (tot_c + μ)`.
+    * `p̂(x|u,c) = (n(x,u,c) + μ·p_bg(x)) / (tot_c + μ)`, written in key order
+    * straight from the count maps.
     */
   def entryStats(p: UserProfile, c: Int, mu: Double, col: CollectionStats): EntryStats = {
-    val tot = p.totalIn(c)
-    val inv = 1.0 / (tot + mu)
-    EntryStats(
-      pL = p.pLong(c),
-      pS = p.pShort(c),
-      invTot = inv,
-      prod = p.prodCount.getOrElse(c, Map.empty)
-        .map { case (k, n) => k -> (n + mu * col.producerBg(k)) * inv },
-      ent = p.entCount.getOrElse(c, Map.empty)
-        .map { case (k, n) => k -> (n + mu * col.entityBg(k)) * inv },
-    )
+    val inv = 1.0 / (p.totalIn(c) + mu)
+    val prod = p.prodCount.getOrElse(c, Map.empty[Long, Double])
+    val ent = p.entCount.getOrElse(c, Map.empty[Int, Double])
+    val pk = prod.keys.toArray; java.util.Arrays.sort(pk)
+    val ek = ent.keys.toArray; java.util.Arrays.sort(ek)
+    val pv = new Array[Double](pk.length)
+    var i = 0
+    while (i < pk.length) { pv(i) = (prod(pk(i)) + mu * col.producerBg(pk(i))) * inv; i += 1 }
+    val ev = new Array[Double](ek.length)
+    i = 0
+    while (i < ek.length) { ev(i) = (ent(ek(i)) + mu * col.entityBg(ek(i))) * inv; i += 1 }
+    new EntryStats(p.pLong(c), p.pShort(c), inv, pk, pv, ek, ev)
   }
 }

@@ -12,10 +12,30 @@ final case class RankParams(lambdaS: Double = 0.4, mu: Double = Ranking.Mu) {
   * coefficient of every entity in `E ∪ E'` (original entities weigh 1 per
   * occurrence; expansion entities weigh their proximity weight `w_e`), i.e.
   * the `F ⊗ W_e` frequency-times-weight vector of Example 1 / Eq. 6, folded
-  * into one coefficient per entity.
+  * into one coefficient per entity: `weights(i)` is that of `entityIds(i)`,
+  * ids sorted strictly ascending. No array is written after construction.
   */
-final case class ItemQuery(itemId: Long, category: Int, producerId: Long,
-                           entityWeights: Seq[(Int, Double)])
+final class ItemQuery(val itemId: Long, val category: Int, val producerId: Long,
+                      val entityIds: Array[Int], val weights: Array[Double]) {
+  require(entityIds.length == weights.length, "one weight per entity")
+  require(entityIds.indices.drop(1).forall(i => entityIds(i - 1) < entityIds(i)),
+          "entity ids must be distinct and ascending")
+
+  /** `(entity, weight)` pairs in ascending entity order: a conversion for
+    * tests, not for a hot path.
+    */
+  def entityWeights: Seq[(Int, Double)] = entityIds.toSeq.zip(weights)
+}
+
+object ItemQuery {
+
+  /** A query from distinct `(entity, weight)` pairs in any order. */
+  def apply(itemId: Long, category: Int, producerId: Long,
+            entityWeights: Seq[(Int, Double)]): ItemQuery = {
+    val sorted = entityWeights.sortBy(_._1)
+    new ItemQuery(itemId, category, producerId, sorted.map(_._1).toArray, sorted.map(_._2).toArray)
+  }
+}
 
 object Ranking {
 
@@ -55,29 +75,64 @@ object Ranking {
       acc(e) = acc.getOrElse(e, 0.0) + 1.0
       if (expand) expansion.of(e).foreach { case (x, w) => acc(x) = acc.getOrElse(x, 0.0) + w }
     }
-    ItemQuery(itemId, category, producerId, acc.toSeq.sortBy(_._1))
+    val ids = acc.keys.toArray
+    java.util.Arrays.sort(ids)
+    new ItemQuery(itemId, category, producerId, ids, ids.map(acc))
   }
 
-  /** The long-term and short-term score components of one entry against one
-    * query, before the λ_s combination:
+  /** A query prepared to score many entries (Algorithm 1, a scan): the
+    * floors `μ·p_bg(uᵖ)` and `μ·p_bg(e)` of its producer and entities are
+    * computed once, and scoring an entry allocates nothing.
     *
     * `R_ℓ = log p_ℓ + log p̂(uᵖ|u,c) + log Σ_e w_e·p̂(e|u,c)` (Eq. 2) and
     * `R_s = log p_s` (Eq. 4). Probabilities absent from the entry's impact
     * lists fall back to their smoothing floor `μ·p_bg·invTot`; because every
     * stored probability is ≥ its own floor and IEntry components are
     * element-wise maxima, the same formula evaluated on an IEntry upper-bounds
-    * every descendant (Lemmas 1–2).
+    * every descendant (Lemmas 1–2). The entity sum runs in ascending entity
+    * order.
     */
-  def components(s: EntryStats, q: ItemQuery, prm: RankParams, col: CollectionStats): (Double, Double) = {
-    val prodP = math.max(
-      s.prod.getOrElse(q.producerId, 0.0),
-      prm.mu * col.producerBg(q.producerId) * s.invTot)
-    var entSum = 0.0
-    q.entityWeights.foreach { case (e, w) =>
-      entSum += w * math.max(s.ent.getOrElse(e, 0.0), prm.mu * col.entityBg(e) * s.invTot)
+  final class Scorer(q: ItemQuery, prm: RankParams, col: CollectionStats) {
+    private val ids = q.entityIds
+    private val weights = q.weights
+    private val entFloor = ids.map(e => prm.mu * col.entityBg(e))
+    private val prodFloor = prm.mu * col.producerBg(q.producerId)
+
+    /** `R_ℓ` of one entry. Each query entity is looked up by a binary search
+      * that starts past the previous one's position in the entry's keys.
+      */
+    def longTerm(s: EntryStats): Double = {
+      val at = java.util.Arrays.binarySearch(s.prodKeys, q.producerId)
+      val prodP = math.max(if (at >= 0) s.prodVals(at) else 0.0, prodFloor * s.invTot)
+      val keys = s.entKeys
+      var from = 0
+      var entSum = 0.0
+      var i = 0
+      while (i < ids.length) {
+        var p = 0.0
+        if (from < keys.length) {
+          val j = java.util.Arrays.binarySearch(keys, from, keys.length, ids(i))
+          if (j >= 0) { p = s.entVals(j); from = j + 1 } else from = -j - 1
+        }
+        entSum += weights(i) * math.max(p, entFloor(i) * s.invTot)
+        i += 1
+      }
+      lg(s.pL) + lg(prodP) + lg(entSum)
     }
-    def lg(x: Double): Double = math.log(math.max(x, PFloor))
-    (lg(s.pL) + lg(prodP) + lg(entSum), lg(s.pS))
+
+    /** `R_s` of one entry. */
+    def shortTerm(s: EntryStats): Double = lg(s.pS)
+
+    /** Full relevance score of one entry (leaf = a user, internal = upper bound). */
+    def score(s: EntryStats): Double = combine(longTerm(s), shortTerm(s), prm.lambdaS)
+  }
+
+  private def lg(x: Double): Double = math.log(math.max(x, PFloor))
+
+  /** `(R_ℓ, R_s)` of one entry against one query, before the λ_s combination. */
+  def components(s: EntryStats, q: ItemQuery, prm: RankParams, col: CollectionStats): (Double, Double) = {
+    val sc = new Scorer(q, prm, col)
+    (sc.longTerm(s), sc.shortTerm(s))
   }
 
   /** Eq. 3: `R = (1-λ_s)·R_ℓ + λ_s·R_s`. */
@@ -85,8 +140,6 @@ object Ranking {
     (1.0 - lambdaS) * rl + lambdaS * rs
 
   /** Full relevance score of one entry (leaf = a user, internal = upper bound). */
-  def score(s: EntryStats, q: ItemQuery, prm: RankParams, col: CollectionStats): Double = {
-    val (rl, rs) = components(s, q, prm, col)
-    combine(rl, rs, prm.lambdaS)
-  }
+  def score(s: EntryStats, q: ItemQuery, prm: RankParams, col: CollectionStats): Double =
+    new Scorer(q, prm, col).score(s)
 }

@@ -84,10 +84,10 @@ final class SsRecModel(
     */
   def componentsAll(item: Item): Array[(Long, Double, Double)] = {
     val q = queryOf(item)
+    val scorer = new Ranking.Scorer(q, index.params, index.collection)
     index.profiles.valuesIterator.map { p =>
       val s = Profiles.entryStats(p, q.category, cfg.mu, index.collection)
-      val (rl, rs) = Ranking.components(s, q, index.params, index.collection)
-      (p.userId, rl, rs)
+      (p.userId, scorer.longTerm(s), scorer.shortTerm(s))
     }.toArray
   }
 

@@ -96,9 +96,7 @@ final class CppseIndex(val nBuckets: Int,
   /** Trees reachable from the query's category-entity pairs (fast mode). */
   def locateTrees(q: ItemQuery): Seq[SignatureTree] = {
     val refs = scala.collection.mutable.Set.empty[TreeRef]
-    q.entityWeights.foreach { case (e, _) =>
-      findTriad(q.category, e).foreach(refs ++= _.trees)
-    }
+    q.entityIds.foreach(e => findTriad(q.category, e).foreach(refs ++= _.trees))
     refs.iterator.flatMap(tree).toSeq
   }
 
@@ -151,21 +149,24 @@ final class CppseIndex(val nBuckets: Int,
   /** Algorithm 1 ([[SignatureTree.search]]) over the candidate trees.
     * `exact = true` searches every tree of the item's category (provably equal
     * to a sequential scan, by Lemmas 1–2); the default hash-located mode skips
-    * blocks sharing no category-entity pair with the query.
+    * blocks sharing no category-entity pair with the query. The search's
+    * counts are added to `stats`.
     */
-  def topK(q: ItemQuery, k: Int, exact: Boolean = false): Seq[(Long, Double)] = {
+  def topK(q: ItemQuery, k: Int, exact: Boolean = false,
+           stats: SearchStats = new SearchStats): Seq[(Long, Double)] = {
     val candidates = if (exact) treesOfCategory(q.category) else locateTrees(q)
-    SignatureTree.search(candidates.iterator.flatMap(_.root), q, k, params, collection)
+    SignatureTree.search(candidates.iterator.flatMap(_.root), q, k, params, collection, stats)
   }
 
   /** Sequential scan over every indexed profile with the same scorer — the
     * naive method of Section V, used as the ground truth for `topK`.
     */
-  def scanTopK(q: ItemQuery, k: Int): Seq[(Long, Double)] =
+  def scanTopK(q: ItemQuery, k: Int): Seq[(Long, Double)] = {
+    val scorer = new Ranking.Scorer(q, params, collection)
     Ranking.topK(profiles.valuesIterator.map { p =>
-      val s = Profiles.entryStats(p, q.category, params.mu, collection)
-      (p.userId, Ranking.score(s, q, params, collection))
+      (p.userId, scorer.score(Profiles.entryStats(p, q.category, params.mu, collection)))
     }, k)
+  }
 
   // ------------------------------------------------------------ maintenance
 

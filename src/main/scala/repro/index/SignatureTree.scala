@@ -175,6 +175,19 @@ final class SignatureTree(val block: Int, val category: Int, val fanout: Int)
     SignatureTree.search(root, q, k, prm, col)
 }
 
+/** Counters of Algorithm-1 searches, added to by each [[SignatureTree.search]]
+  * given this sink: trees located (roots seeded), nodes scored, nodes pruned
+  * (scored, then cut by the Lemma-1/2 bound without being expanded or
+  * reached) and leaves reached (offered to the result heap). Every scored node
+  * is pruned, reached, or an expanded IEntry.
+  */
+final class SearchStats {
+  var treesLocated: Long = 0L
+  var nodesScored: Long = 0L
+  var nodesPruned: Long = 0L
+  var leavesReached: Long = 0L
+}
+
 object SignatureTree {
 
   /** Algorithm 1: branch-and-bound KNN over the given tree roots. A priority
@@ -184,23 +197,33 @@ object SignatureTree {
     * in [[Ranking.rankOrder]] (score descending, then userId ascending), like
     * [[CppseIndex.scanTopK]], so an entry is pruned only when its bound is
     * strictly below `LB`: a bound equal to `LB` may still hold a lower userId.
+    * Every node is scored by one [[Ranking.Scorer]] prepared for `q`; the
+    * search's counts are added to `stats`.
     */
   def search(roots: IterableOnce[SigNode], q: ItemQuery, k: Int, prm: RankParams,
-             col: CollectionStats): Seq[(Long, Double)] = {
+             col: CollectionStats, stats: SearchStats = new SearchStats): Seq[(Long, Double)] = {
     require(k >= 1, "k must be >= 1")
+    val scorer = new Ranking.Scorer(q, prm, col)
     val queue = mutable.PriorityQueue.empty[(Double, SigNode)](
       Ordering.by[(Double, SigNode), Double](_._1))
-    roots.iterator.foreach(r => queue.enqueue((Ranking.score(r.stats, q, prm, col), r)))
+    roots.iterator.foreach { r =>
+      stats.treesLocated += 1; stats.nodesScored += 1
+      queue.enqueue((scorer.score(r.stats), r))
+    }
     val top = new Ranking.TopK(k)
     def lb: Double = top.kthScore
     while (queue.nonEmpty && queue.head._1 >= lb) queue.dequeue() match {
-      case (s, leaf: SigLeaf) => top.offer((leaf.userId, s)) // s >= LB; a tie keeps the lower userId
+      case (s, leaf: SigLeaf) => // s >= LB; a tie keeps the lower userId
+        stats.leavesReached += 1
+        top.offer((leaf.userId, s))
       case (_, inner: SigInner) =>
+        stats.nodesScored += inner.children.size
         inner.children.foreach { ch =>
-          val s = Ranking.score(ch.stats, q, prm, col)
-          if (s >= lb) queue.enqueue((s, ch))
+          val s = scorer.score(ch.stats)
+          if (s >= lb) queue.enqueue((s, ch)) else stats.nodesPruned += 1
         }
     }
+    stats.nodesPruned += queue.size
     top.drain()
   }
 }

@@ -129,6 +129,21 @@ class ProfilesSpec extends AnyFunSuite {
     assert(math.abs(s.invTot - 1.0 / 5.0) < 1e-12)
   }
 
+  test("entryStats: separate builds of one profile are equal, hashCode too, and equal the Map-based reference") {
+    val rnd = new Random(6)
+    val events = randEvents(rnd, 40)
+    def build() = Profiles.build(6L, events, IoHmm.random(2, NZ, NCats, 6), NCats, 5)
+    val (p, q) = (build(), build())
+    (0 until NCats).foreach { c =>
+      val a = Profiles.entryStats(p, c, 5.0, collection)
+      val b = Profiles.entryStats(q, c, 5.0, collection)
+      assert((a ne b) && (a.entKeys ne b.entKeys))
+      assert(a == b && a.hashCode == b.hashCode, s"category $c")
+      assert(a == refEntryStats(p, c, 5.0, collection), s"category $c")
+      assert(a != Profiles.entryStats(p, c, 6.0, collection))
+    }
+  }
+
   test("collection backgrounds default for unknown ids") {
     assert(collection.producerBg(12345L) == 1.0 / NProd)
     assert(collection.entityBg(98765) == 1.0 / NEnt)

@@ -80,7 +80,7 @@ class RankingSpec extends AnyFunSuite {
   test("score is monotone in matching-entity probability") {
     val q = ItemQuery(1L, 0, 3L, Seq((7, 1.0)))
     val lo = EntryStats(0.5, 0.5, 0.1, Map(3L -> 0.4), Map(7 -> 0.1))
-    val hi = lo.copy(ent = Map(7 -> 0.6))
+    val hi = EntryStats(0.5, 0.5, 0.1, Map(3L -> 0.4), Map(7 -> 0.6))
     assert(Ranking.score(hi, q, params, collection) > Ranking.score(lo, q, params, collection))
   }
 
@@ -88,7 +88,7 @@ class RankingSpec extends AnyFunSuite {
     val rnd = new Random(2)
     val q = randQuery(rnd)
     val s = randStats(rnd)
-    val better = s.copy(pL = math.min(1.0, s.pL * 1.5), pS = math.min(1.0, s.pS * 1.5))
+    val better = EntryStats(math.min(1.0, s.pL * 1.5), math.min(1.0, s.pS * 1.5), s.invTot, s.prod, s.ent)
     assert(Ranking.score(better, q, params, collection) > Ranking.score(s, q, params, collection))
   }
 
@@ -125,5 +125,35 @@ class RankingSpec extends AnyFunSuite {
       assert(sm >= Ranking.score(a, q, params, collection) - 1e-9)
       assert(sm >= Ranking.score(b, q, params, collection) - 1e-9)
     }
+  }
+
+  test("the prepared scorer equals the Map-based reference bit for bit") {
+    val rnd = new Random(21)
+    // Cases the random inputs must cover, counted over all draws.
+    var absentKey, emptyQuery, emptyEntry, unknownProducer, pastLastKey = 0
+    (1 to 3000).foreach { i =>
+      val s = randStats(rnd, minKeys = 0)
+      val q = ItemQuery(rnd.nextLong(100000), 0, rnd.nextLong(NProd + 3L),
+        Seq.fill(rnd.nextInt(7))(rnd.nextInt(NEnt + 10) -> (rnd.nextDouble() * 0.9 + 0.1)).distinctBy(_._1))
+      val want = refComponents(s, q, params, collection)
+      val sc = new Ranking.Scorer(q, params, collection)
+      assert((sc.longTerm(s), sc.shortTerm(s)) == want, s"case $i: $s")
+      assert(Ranking.components(s, q, params, collection) == want, s"case $i")
+      assert(sc.score(s) == Ranking.combine(want._1, want._2, params.lambdaS), s"case $i")
+      assert(Ranking.score(s, q, params, collection) == sc.score(s), s"case $i")
+      if (q.entityIds.exists(e => !s.ent.contains(e)) || !s.prod.contains(q.producerId)) absentKey += 1
+      if (q.entityIds.isEmpty) emptyQuery += 1
+      if (s.entKeys.isEmpty || s.prodKeys.isEmpty) emptyEntry += 1
+      if (!collection.bgProd.contains(q.producerId)) unknownProducer += 1
+      if (s.entKeys.nonEmpty && q.entityIds.exists(_ > s.entKeys.last)) pastLastKey += 1
+    }
+    Seq(absentKey, emptyQuery, emptyEntry, unknownProducer, pastLastKey).foreach(n => assert(n > 0))
+  }
+
+  test("queryOf emits ascending entity ids with their weights") {
+    val q = Ranking.queryOf(1L, 0, 2L, Seq(3, 1, 2, 1), exp, expand = true)
+    assert(q.entityIds.toSeq == Seq(1, 2, 3, 10, 11))
+    assert(q.entityWeights == q.entityIds.toSeq.zip(q.weights))
+    intercept[IllegalArgumentException](ItemQuery(1L, 0, 2L, Seq(4 -> 1.0, 4 -> 2.0)))
   }
 }

@@ -74,6 +74,20 @@ class CppseIndexSpec extends AnyFunSuite {
     }
   }
 
+  test("SearchStats: exact mode locates every tree of the category, fast mode the hashed ones") {
+    val rnd = new Random(22)
+    val idx = makeIndex(60, 5, 22)
+    (1 to 20).foreach { i =>
+      val q = randQuery(rnd)
+      val inExact, inFast = new SearchStats
+      idx.topK(q, 5, exact = true, inExact)
+      idx.topK(q, 5, exact = false, inFast)
+      assert(inExact.treesLocated == idx.treesOfCategory(q.category).size, s"case $i")
+      assert(inFast.treesLocated == idx.locateTrees(q).size, s"case $i")
+      assert(inExact.leavesReached >= 5, s"case $i")
+    }
+  }
+
   test("topK scores are sorted descending") {
     val rnd = new Random(5)
     val idx = makeIndex(50, 4, 5)

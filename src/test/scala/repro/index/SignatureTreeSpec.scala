@@ -120,7 +120,7 @@ class SignatureTreeSpec extends AnyFunSuite {
     val base = randStats(rnd)
     val es = (0L until 8L).map(u => (u, base))
     val t = tree(es)
-    val small = base.copy(pL = base.pL / 2)
+    val small = EntryStats(base.pL / 2, base.pS, base.invTot, base.prod, base.ent)
     t.update(3L, small)
     assert(math.abs(t.root.get.stats.pL - base.pL) < 1e-12)
     t.leaves.foreach { case (u, _) => if (u != 3L) t.update(u, small) }
@@ -243,5 +243,63 @@ class SignatureTreeSpec extends AnyFunSuite {
     }
     val res = ScTest.check(ScTest.Parameters.default.withMinSuccessfulTests(200), prop)
     assert(res.passed, res.status.toString)
+  }
+
+  test("scalacheck: the sorted-union k-way max equals a left fold of the reference pairwise merges") {
+    import org.scalacheck.{Gen, Prop, Test => ScTest}
+    val genStats = Gen.choose(1L, 100000L).map(s => randStats(new Random(s), minKeys = 0))
+    val genList = Gen.choose(1, 9).flatMap(n => Gen.listOfN(n, genStats))
+    def ascending(keys: Array[Long]): Boolean = keys.indices.drop(1).forall(i => keys(i - 1) < keys(i))
+    val prop = Prop.forAll(genList) { xs =>
+      val m = EntryStats.max(xs)
+      m == xs.reduceLeft((a, b) => refMax(Seq(a, b))) && m == refMax(xs) &&
+        m.hashCode == refMax(xs).hashCode &&
+        ascending(m.prodKeys) && ascending(m.entKeys.map(_.toLong))
+    }
+    val res = ScTest.check(ScTest.Parameters.default.withMinSuccessfulTests(300), prop)
+    assert(res.passed, res.status.toString)
+  }
+
+  test("search scores equal the Map-based reference scorer bit for bit") {
+    val rnd = new Random(19)
+    val t = tree(entries(70, 19))
+    (1 to 30).foreach { i =>
+      val q = randQuery(rnd)
+      t.knn(q, 10, params, collection).foreach { case (u, got) =>
+        val (rl, rs) = refComponents(t.leafOf(u).get.stats, q, params, collection)
+        assert(got == Ranking.combine(rl, rs, params.lambdaS), s"case $i, user $u")
+      }
+    }
+  }
+
+  /** Nodes under `n`, inclusive. */
+  private def nodeCount(n: SigNode): Int = n match {
+    case _: SigLeaf => 1
+    case i: SigInner => 1 + i.children.iterator.map(nodeCount).sum
+  }
+
+  test("SearchStats: every scored node is a located root or a child of an expanded node") {
+    val rnd = new Random(20)
+    // Three full trees (64 leaves, fanout 4): every IEntry has 4 children, so
+    // nodes scored = roots + 4 × expanded, and expanded = scored - pruned - leaves.
+    val forest = (0 until 3).map(b => tree(entries(64, 20L + b).map { case (u, s) => (u + 100L * b, s) }))
+    var pruned = 0L
+    (1 to 40).foreach { i =>
+      val q = randQuery(rnd)
+      val k = if (i % 4 == 0) 1 else rnd.nextInt(20) + 1
+      val st = new SearchStats
+      val got = SignatureTree.search(forest.flatMap(_.root), q, k, params, collection, st)
+      assert(st.treesLocated == 3)
+      val expanded = st.nodesScored - st.nodesPruned - st.leavesReached
+      assert(st.nodesScored == st.treesLocated + 4 * expanded, s"case $i")
+      assert(st.leavesReached >= got.size, s"case $i")
+      pruned += st.nodesPruned
+    }
+    assert(pruned > 0, "the bound never cut")
+    // With k at least the population nothing is pruned and every node is scored.
+    val st = new SearchStats
+    SignatureTree.search(forest.flatMap(_.root), randQuery(rnd), 192, params, collection, st)
+    assert(st.nodesPruned == 0 && st.leavesReached == 192)
+    assert(st.nodesScored == forest.map(t => nodeCount(t.root.get)).sum)
   }
 }

@@ -21,17 +21,19 @@ object Fixtures {
 
   val params: RankParams = RankParams(lambdaS = 0.4, mu = 5.0)
 
-  /** Random but well-formed entry statistics (smoothed probs in (0,1]). */
-  def randStats(rnd: Random): EntryStats = {
+  /** Random but well-formed entry statistics (smoothed probs in (0,1]),
+    * with at least `minKeys` producers and entities.
+    */
+  def randStats(rnd: Random, minKeys: Int = 1): EntryStats = {
     val tot = rnd.nextInt(40) + 1
     val inv = 1.0 / (tot + params.mu)
     EntryStats(
       pL = rnd.nextDouble() * 0.9 + 0.05,
       pS = rnd.nextDouble() * 0.9 + 0.05,
       invTot = inv,
-      prod = (0 until rnd.nextInt(4) + 1)
+      prod = (0 until rnd.nextInt(4) + minKeys)
         .map(_ => rnd.nextLong(NProd) -> (rnd.nextInt(tot) + params.mu / NProd) * inv).toMap,
-      ent = (0 until rnd.nextInt(8) + 1)
+      ent = (0 until rnd.nextInt(8) + minKeys)
         .map(_ => rnd.nextInt(NEnt) -> (rnd.nextInt(tot) + params.mu / NEnt) * inv).toMap,
     )
   }
@@ -43,6 +45,49 @@ object Fixtures {
     producerId = rnd.nextLong(NProd),
     entityWeights = (0 until rnd.nextInt(5) + 1)
       .map(_ => (rnd.nextInt(NEnt), rnd.nextDouble() * 0.9 + 0.1)).distinctBy(_._1))
+
+  /** The Map-based `(R_ℓ, R_s)` that [[Ranking.Scorer]] replaced: the
+    * reference its components must equal bit for bit.
+    */
+  def refComponents(s: EntryStats, q: ItemQuery, prm: RankParams, col: CollectionStats): (Double, Double) = {
+    val prodP = math.max(
+      s.prod.getOrElse(q.producerId, 0.0),
+      prm.mu * col.producerBg(q.producerId) * s.invTot)
+    var entSum = 0.0
+    q.entityWeights.foreach { case (e, w) =>
+      entSum += w * math.max(s.ent.getOrElse(e, 0.0), prm.mu * col.entityBg(e) * s.invTot)
+    }
+    def lg(x: Double): Double = math.log(math.max(x, 1e-12))
+    (lg(s.pL) + lg(prodP) + lg(entSum), lg(s.pS))
+  }
+
+  /** The Map-based leaf build that [[Profiles.entryStats]] replaced: the
+    * reference its statistics must equal.
+    */
+  def refEntryStats(p: UserProfile, c: Int, mu: Double, col: CollectionStats): EntryStats = {
+    val inv = 1.0 / (p.totalIn(c) + mu)
+    EntryStats(p.pLong(c), p.pShort(c), inv,
+      p.prodCount.getOrElse(c, Map.empty[Long, Double]).map { case (k, n) => k -> (n + mu * col.producerBg(k)) * inv },
+      p.entCount.getOrElse(c, Map.empty[Int, Double]).map { case (k, n) => k -> (n + mu * col.entityBg(k)) * inv })
+  }
+
+  /** The Map-based IEntry max that the sorted union replaced: the reference
+    * [[EntryStats.max]] must equal.
+    */
+  def refMax(xs: Seq[EntryStats]): EntryStats = {
+    def maxMap[K](maps: Seq[Map[K, Double]]): Map[K, Double] = {
+      val widest = maps.maxBy(_.size)
+      var acc = widest
+      maps.foreach { m =>
+        if (m ne widest) m.foreachEntry { (k, v) =>
+          if (v > acc.getOrElse(k, Double.NegativeInfinity)) acc = acc.updated(k, v)
+        }
+      }
+      acc
+    }
+    def top(f: EntryStats => Double): Double = xs.foldLeft(Double.NegativeInfinity)((m, x) => math.max(m, f(x)))
+    EntryStats(top(_.pL), top(_.pS), top(_.invTot), maxMap(xs.map(_.prod)), maxMap(xs.map(_.ent)))
+  }
 
   /** A random event stream for one user. */
   def randEvents(rnd: Random, n: Int): Seq[CompactEvent] =
