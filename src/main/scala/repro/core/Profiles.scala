@@ -42,12 +42,22 @@ final class EntryStats(val pL: Double, val pS: Double, val invTot: Double,
     */
   def merge(o: EntryStats): EntryStats = EntryStats.max(Seq(this, o))
 
+  /** `pL`, `pS` and `invTot` equal `o`'s, bit for bit. */
+  def sameScalars(o: EntryStats): Boolean =
+    java.lang.Double.compare(pL, o.pL) == 0 && java.lang.Double.compare(pS, o.pS) == 0 &&
+      java.lang.Double.compare(invTot, o.invTot) == 0
+
+  /** Both impact lists equal `o`'s, bit for bit (at once if they are `o`'s arrays). */
+  def sameLists(o: EntryStats): Boolean =
+    java.util.Arrays.equals(prodKeys, o.prodKeys) && java.util.Arrays.equals(prodVals, o.prodVals) &&
+      java.util.Arrays.equals(entKeys, o.entKeys) && java.util.Arrays.equals(entVals, o.entVals)
+
+  /** These scalars over `o`'s impact lists, by reference. */
+  def withListsOf(o: EntryStats): EntryStats =
+    new EntryStats(pL, pS, invTot, o.prodKeys, o.prodVals, o.entKeys, o.entVals)
+
   override def equals(o: Any): Boolean = o match {
-    case x: EntryStats =>
-      java.lang.Double.compare(pL, x.pL) == 0 && java.lang.Double.compare(pS, x.pS) == 0 &&
-        java.lang.Double.compare(invTot, x.invTot) == 0 &&
-        java.util.Arrays.equals(prodKeys, x.prodKeys) && java.util.Arrays.equals(prodVals, x.prodVals) &&
-        java.util.Arrays.equals(entKeys, x.entKeys) && java.util.Arrays.equals(entVals, x.entVals)
+    case x: EntryStats => sameScalars(x) && sameLists(x)
     case _ => false
   }
 
@@ -284,4 +294,20 @@ object Profiles {
     while (i < ek.length) { ev(i) = (ent(ek(i)) + mu * col.entityBg(ek(i))) * inv; i += 1 }
     new EntryStats(p.pLong(c), p.pShort(c), inv, pk, pv, ek, ev)
   }
+
+  /** [[entryStats]] of `p`, which is `old` after a batch of [[ingest]]s,
+    * given `prev`, the statistics of `old` under `c`. A flush rebuilds only
+    * the count maps of the categories it fed, so while `c`'s maps and count
+    * are still `old`'s, `prev`'s impact lists and `invTot` are reused by
+    * reference and only `p_ℓ` and `p_s` are read from `p`.
+    */
+  def entryStatsAfter(old: UserProfile, prev: EntryStats, p: UserProfile, c: Int,
+                      mu: Double, col: CollectionStats): EntryStats =
+    if ((p.catCount eq old.catCount) || // no window flushed
+        p.catCount(c) == old.catCount(c) &&
+        (p.prodCount.getOrElse(c, null) eq old.prodCount.getOrElse(c, null)) &&
+        (p.entCount.getOrElse(c, null) eq old.entCount.getOrElse(c, null)))
+      new EntryStats(p.pLong(c), p.pShort(c), prev.invTot,
+                     prev.prodKeys, prev.prodVals, prev.entKeys, prev.entVals)
+    else entryStats(p, c, mu, col)
 }

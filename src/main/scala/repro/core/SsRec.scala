@@ -80,14 +80,14 @@ final class SsRecModel(
     index.scanTopK(queryOf(item), k)
 
   /** Long-term/short-term score components of every user against an item —
-    * lets parameter sweeps recombine with any λ_s without rescoring.
+    * lets parameter sweeps recombine with any λ_s without rescoring. Read
+    * from the leaves of the item's category, whose trees hold each user once.
     */
   def componentsAll(item: Item): Array[(Long, Double, Double)] = {
     val q = queryOf(item)
     val scorer = new Ranking.Scorer(q, index.params, index.collection)
-    index.profiles.valuesIterator.map { p =>
-      val s = Profiles.entryStats(p, q.category, cfg.mu, index.collection)
-      (p.userId, scorer.longTerm(s), scorer.shortTerm(s))
+    index.treesOfCategory(q.category).iterator.flatMap(_.leaves).map { case (u, s) =>
+      (u, scorer.longTerm(s), scorer.shortTerm(s))
     }.toArray
   }
 

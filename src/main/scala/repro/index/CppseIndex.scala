@@ -18,10 +18,15 @@ final class HashTriad(val key: String,
 
 /** Report of one maintenance pass (Algorithm 2) — used by tests and by the
   * Fig-11 update-cost bench. `ancestorRecomputes` counts the IEntries the
-  * pass recomputed, over all trees.
+  * pass actually recomputed, over all trees: those above a leaf whose value
+  * changed, up to the first whose own value did not (propagation stops
+  * there), and for a new user every IEntry above its leaf plus each node its
+  * insert split. `scalarRecomputes` counts those of them recomputed from
+  * their children's `pL`, `pS` and `invTot` alone, because no changed
+  * child's impact lists changed.
   */
 final case class UpdateReport(updatedUsers: Int, newUsers: Int, newHashTriads: Int,
-                              ancestorRecomputes: Int)
+                              ancestorRecomputes: Int, scalarRecomputes: Int)
 
 /** The CPPse-index: a chained hash table from category-entity pairs to
   * extended signature trees, one tree per (user block × category), plus the
@@ -132,14 +137,24 @@ final class CppseIndex(val nBuckets: Int,
         new SignatureTree(b, c, fanout).build(entries)
       }.to(ArrayBuffer)
     }
-    ordered.foreach(p => linkProfilePairs(p, blockOfUser(p.userId)))
+    ordered.foreach(p => linkPairs(p.entCount, Map.empty, blockOfUser(p.userId)))
     this
   }
 
-  private def linkProfilePairs(p: UserProfile, block: Int): Int = {
+  /** Link each category-entity pair of the entity counts `ent` that `before`
+    * lacks, under `block`'s tree of the category. `before` is the same
+    * profile's counts before a batch of ingests, or empty for a profile new
+    * to the index; a flush only adds keys, to the maps it rebuilt.
+    * @return the number of new triads.
+    */
+  private def linkPairs(ent: Map[Int, Map[Int, Double]], before: Map[Int, Map[Int, Double]],
+                        block: Int): Int = {
     var fresh = 0
-    p.entCount.foreach { case (c, em) =>
-      em.keysIterator.foreach { e => if (link(c, e, TreeRef(block, c))) fresh += 1 }
+    if (ent ne before) ent.foreach { case (c, em) =>
+      val had = before.getOrElse(c, null)
+      if (em ne had) em.keysIterator.foreach { e =>
+        if ((had == null || !had.contains(e)) && link(c, e, TreeRef(block, c))) fresh += 1
+      }
     }
     fresh
   }
@@ -173,11 +188,13 @@ final class CppseIndex(val nBuckets: Int,
   /** Algorithm 2: apply a batch of profile updates, in two phases. First,
     * existing users have their events ingested and predictions refreshed;
     * their per-category leaf statistics are written into their block's trees,
-    * after which each tree recomputes every IEntry above the changed leaves
-    * once, bottom-up (the periodic maintenance of Section V-C). Then new users,
-    * in batch order, are blocked by best centroid cosine and inserted into
-    * every tree of their block. Unseen category-entity pairs of either kind of
-    * user are inserted into the hash table.
+    * after which each tree recomputes the IEntries above the changed leaves
+    * once, bottom-up (the periodic maintenance of Section V-C). A category no
+    * window flush fed keeps its leaf's impact lists and `invTot`
+    * ([[Profiles.entryStatsAfter]]), so only `p_ℓ` and `p_s` move above it.
+    * Then new users, in batch order, are blocked by best centroid cosine and
+    * inserted into every tree of their block. The category-entity pairs a
+    * flush added, and every pair of a new user, are linked in the hash table.
     *
     * @param updates each user's new events, one entry per user.
     * @param makeProfile builds a profile (incl. b-HMM training) for new users.
@@ -185,19 +202,22 @@ final class CppseIndex(val nBuckets: Int,
   def applyUpdates(updates: Seq[(Long, Seq[CompactEvent])],
                    makeProfile: (Long, Seq[CompactEvent]) => UserProfile): UpdateReport = {
     require(updates.map(_._1).distinct.size == updates.size, "a user appears twice in one batch")
-    var freshTriads = 0; var recomputes = 0
+    var freshTriads = 0
+    val counts = new RecomputeStats
     val (known, fresh) = updates.partition { case (u, _) => profiles.contains(u) }
     val refreshed = known.map { case (userId, events) =>
       val old = profiles(userId)
       val p = Profiles.refreshAfter(old, events.foldLeft(old)(Profiles.ingest))
       profiles(userId) = p
-      freshTriads += linkProfilePairs(p, blockOfUser(userId))
-      p
+      freshTriads += linkPairs(p.entCount, old.entCount, blockOfUser(userId))
+      (old, p)
     }
-    refreshed.groupBy(p => blockOfUser(p.userId)).foreach { case (b, ps) =>
+    refreshed.groupBy { case (old, _) => blockOfUser(old.userId) }.foreach { case (b, ps) =>
       (0 until nCategories).foreach { c =>
-        recomputes += forest(c)(b).updateAll(
-          ps.map(p => p.userId -> Profiles.entryStats(p, c, params.mu, collection)))
+        val t = forest(c)(b)
+        t.updateAll(ps.map { case (old, p) =>
+          p.userId -> Profiles.entryStatsAfter(old, t.leafOf(p.userId).get.stats, p, c, params.mu, collection)
+        }, counts)
       }
     }
     fresh.foreach { case (userId, events) =>
@@ -210,12 +230,12 @@ final class CppseIndex(val nBuckets: Int,
       blockOfUser(userId) = b
       (0 until nCategories).foreach { c =>
         val stats = Profiles.entryStats(p, c, params.mu, collection)
-        if (b < forest(c).size) recomputes += forest(c)(b).insert(userId, stats)
+        if (b < forest(c).size) forest(c)(b).insert(userId, stats, counts)
         else forest(c) += new SignatureTree(b, c, fanout).build(Seq((userId, stats)))
       }
-      freshTriads += linkProfilePairs(p, b)
+      freshTriads += linkPairs(p.entCount, Map.empty, b)
     }
-    UpdateReport(known.size, fresh.size, freshTriads, recomputes)
+    UpdateReport(known.size, fresh.size, freshTriads, counts.recomputes.toInt, counts.scalarRecomputes.toInt)
   }
 }
 

@@ -3,6 +3,7 @@ package repro.index
 import repro.core.{CollectionStats, EntryStats, ItemQuery, RankParams, Ranking}
 import scala.collection.mutable
 import scala.collection.mutable.ArrayBuffer
+import SignatureTree.{Forced, Idle, Lists, Scalars}
 
 /** A node of the extended signature tree. `stats` is the node's signature:
   * the user's own statistics at a leaf (LEntry), the element-wise max over
@@ -20,20 +21,26 @@ final class SigLeaf(val userId: Long) extends SigNode
 /** IEntry: upper-bound summary of a subtree. */
 final class SigInner extends SigNode {
   val children: ArrayBuffer[SigNode] = ArrayBuffer.empty
+  /** What an Algorithm-2 pass has queued it for: one of
+    * [[SignatureTree.Idle]], `Scalars`, `Lists` or `Forced`.
+    */
+  private[index] var queued: Int = SignatureTree.Idle
 }
 
 /** Extended signature tree over the users of one (block, category) pair.
   * Supports bulk build, exact-upper-bound maintenance on batches of leaf
-  * updates (each IEntry above them recomputed once), and leaf insertion with
-  * node splits (the 20%-reserve trick of Section V-C is
-  * subsumed by growing the sparse maps directly).
+  * updates (each IEntry above a changed leaf recomputed at most once), and
+  * leaf insertion with node splits (the 20%-reserve trick of Section V-C is
+  * subsumed by growing the sparse maps directly). Every leaf sits at one
+  * depth: the bulk load packs them level by level, an insert attaches at the
+  * deepest internal level and splits grow the tree only at the root.
   */
 final class SignatureTree(val block: Int, val category: Int, val fanout: Int)
     extends Serializable {
   require(fanout >= 2, "fanout must be >= 2")
 
   private var rootNode: SigNode = _
-  private val leavesById = mutable.Map.empty[Long, SigLeaf]
+  private val leavesById = mutable.LongMap.empty[SigLeaf]
 
   /** Root entry, or None for an empty tree. */
   def root: Option[SigNode] = Option(rootNode)
@@ -47,24 +54,67 @@ final class SignatureTree(val block: Int, val category: Int, val fanout: Int)
   private def recomputeStats(n: SigInner): Unit =
     n.stats = EntryStats.max(n.children.map(_.stats))
 
-  /** Recompute every IEntry above the `changed` nodes exactly once, deepest
-    * first, so each one is rebuilt from final children (a recompute, not a
-    * max-merge: updated components may shrink).
+  /** Queue `p`, if any, in `level` for at least the recompute `what`. */
+  private def queue(p: SigInner, what: Int, level: ArrayBuffer[SigInner]): Unit =
+    if (p != null) {
+      if (p.queued == Idle) level += p
+      p.queued = math.max(p.queued, what)
+    }
+
+  /** The IEntry `p` with `pL`, `pS` and `invTot` recomputed as the max over
+    * its children and its impact lists kept.
+    */
+  private def scalarMax(p: SigInner): EntryStats = {
+    var pL, pS, invTot = Double.NegativeInfinity
+    var i = 0
+    while (i < p.children.length) {
+      val s = p.children(i).stats
+      pL = math.max(pL, s.pL); pS = math.max(pS, s.pS); invTot = math.max(invTot, s.invTot)
+      i += 1
+    }
+    new EntryStats(pL, pS, invTot, p.stats.prodKeys, p.stats.prodVals, p.stats.entKeys, p.stats.entVals)
+  }
+
+  /** Recompute the queued IEntries level by level, from the deepest up: all
+    * leaves sit at one depth, so each level holds IEntries of one depth and
+    * each is recomputed once, from final children. `split(i)`, an IEntry an
+    * insert split, joins the i-th level, `Forced`. An IEntry queued
+    * `Scalars` recomputes only its scalars and keeps its impact lists; any
+    * other recomputes the full k-way max, keeping its old arrays if the lists
+    * come out equal. An IEntry whose value did not change queues nothing
+    * above it, unless it is `Forced`, which queues its parent `Forced`.
     * @return the number of IEntries recomputed.
     */
-  private def recomputeAbove(changed: IterableOnce[SigNode]): Int = {
-    val dirty = mutable.HashSet.empty[SigInner]
-    changed.iterator.foreach { n =>
-      var p = n.parent
-      while (p != null && dirty.add(p)) p = p.parent
+  private def propagate(start: ArrayBuffer[SigInner], split: collection.IndexedSeq[SigInner],
+                        counts: RecomputeStats): Int = {
+    var level = start
+    var above = ArrayBuffer.empty[SigInner]
+    var done, i = 0
+    while (level.nonEmpty || i < split.length) {
+      if (i < split.length) queue(split(i), Forced, level)
+      var j = 0
+      while (j < level.length) {
+        val p = level(j)
+        val old = p.stats
+        val fresh =
+          if (p.queued == Scalars) { counts.scalarRecomputes += 1; scalarMax(p) }
+          else {
+            val m = EntryStats.max(p.children.map(_.stats))
+            if (old != null && m.sameLists(old)) m.withListsOf(old) else m
+          }
+        val listsMoved = old == null || !fresh.sameLists(old)
+        if (listsMoved || !fresh.sameScalars(old)) p.stats = fresh
+        if (p.queued == Forced) queue(p.parent, Forced, above)
+        else if (p.stats ne old) queue(p.parent, if (listsMoved) Lists else Scalars, above)
+        p.queued = Idle
+        j += 1
+      }
+      done += level.length
+      val t = level; level = above; above = t; above.clear()
+      i += 1
     }
-    def depth(n: SigNode): Int = {
-      var d = 0; var p = n.parent
-      while (p != null) { d += 1; p = p.parent }
-      d
-    }
-    dirty.toArray.sortBy(n => -depth(n)).foreach(recomputeStats)
-    dirty.size
+    counts.recomputes += done
+    done
   }
 
   /** Bulk-load the tree bottom-up: leaves are packed `fanout` at a time into
@@ -90,14 +140,24 @@ final class SignatureTree(val block: Int, val category: Int, val fanout: Int)
   }
 
   /** Algorithm 2 on this tree: write every user's new leaf statistics, then
-    * recompute each IEntry above them once, bottom-up.
+    * recompute, bottom-up and at most once each, the IEntries above the leaves
+    * whose value changed, stopping at those whose value does not change.
+    * The recomputes are added to `counts`.
     * @return the number of IEntries recomputed.
     */
-  def updateAll(batch: Iterable[(Long, EntryStats)]): Int = {
+  def updateAll(batch: Iterable[(Long, EntryStats)], counts: RecomputeStats = new RecomputeStats): Int = {
     batch.foreach { case (u, _) =>
       require(leavesById.contains(u), s"user $u missing from tree ($block,$category)")
     }
-    recomputeAbove(batch.map { case (u, s) => val leaf = leavesById(u); leaf.stats = s; leaf })
+    val level = ArrayBuffer.empty[SigInner]
+    batch.foreach { case (u, s) =>
+      val leaf = leavesById(u)
+      val old = leaf.stats
+      leaf.stats = s
+      if (!s.sameLists(old)) queue(leaf.parent, Lists, level)
+      else if (!s.sameScalars(old)) queue(leaf.parent, Scalars, level)
+    }
+    propagate(level, IndexedSeq.empty, counts)
   }
 
   /** [[updateAll]] of one user.
@@ -110,17 +170,17 @@ final class SignatureTree(val block: Int, val category: Int, val fanout: Int)
   /** Insert a new user: descend into the smallest subtree, attach the leaf at
     * the deepest internal level, split overflowing nodes upward (a root split
     * grows the tree by one level), then recompute the IEntries above the leaf
-    * and the split-off nodes once, bottom-up.
+    * and the split-off nodes once, bottom-up, in full: the subtree of each of
+    * them changed. The recomputes are added to `counts`.
     * @return the number of IEntries recomputed.
     */
-  def insert(userId: Long, stats: EntryStats): Int = {
+  def insert(userId: Long, stats: EntryStats, counts: RecomputeStats = new RecomputeStats): Int = {
     require(!leavesById.contains(userId), s"user $userId already present")
     val leaf = new SigLeaf(userId)
     leaf.stats = stats
     leavesById(userId) = leaf
-    // The new leaf and a child of both halves of every split: the IEntries
-    // above them are the ones the insert changed.
-    val changed = ArrayBuffer[SigNode](leaf)
+    // The left half of each node split, one per level up from the leaf's.
+    val split = ArrayBuffer.empty[SigInner]
     rootNode match {
       case null => rootNode = leaf
       case l: SigLeaf =>
@@ -136,11 +196,11 @@ final class SignatureTree(val block: Int, val category: Int, val fanout: Int)
         leaf.parent = cur
         var node = cur
         while (node != null && node.children.size > fanout) {
+          split += node
           val right = new SigInner
           val moved = node.children.takeRight(node.children.size / 2)
           node.children.remove(node.children.size - moved.size, moved.size)
           moved.foreach { m => m.parent = right; right.children += m }
-          changed += node.children.head += right.children.head
           if (node.parent == null) {
             val newRoot = new SigInner
             newRoot.children += node; node.parent = newRoot
@@ -155,7 +215,9 @@ final class SignatureTree(val block: Int, val category: Int, val fanout: Int)
           }
         }
     }
-    recomputeAbove(changed)
+    val level = ArrayBuffer.empty[SigInner]
+    queue(leaf.parent, Forced, level)
+    propagate(level, split, counts)
   }
 
   private def subtreeSize(n: SigNode): Int = n match {
@@ -163,7 +225,7 @@ final class SignatureTree(val block: Int, val category: Int, val fanout: Int)
     case i: SigInner => i.children.iterator.map(subtreeSize).sum
   }
 
-  /** All (userId, stats) leaves — for exhaustive checks in tests. */
+  /** All (userId, stats) leaves, in no particular order. */
   def leaves: Seq[(Long, EntryStats)] =
     leavesById.iterator.map { case (u, l) => (u, l.stats) }.toSeq
 
@@ -173,6 +235,17 @@ final class SignatureTree(val block: Int, val category: Int, val fanout: Int)
     */
   def knn(q: ItemQuery, k: Int, prm: RankParams, col: CollectionStats): Seq[(Long, Double)] =
     SignatureTree.search(root, q, k, prm, col)
+}
+
+/** Counters of Algorithm-2 maintenance, added to by each
+  * [[SignatureTree.updateAll]] and [[SignatureTree.insert]] given this sink:
+  * IEntries recomputed, and of those the ones recomputed from their
+  * children's scalars alone (no changed child's impact lists changed, so the
+  * IEntry kept its own).
+  */
+final class RecomputeStats {
+  var recomputes: Long = 0L
+  var scalarRecomputes: Long = 0L
 }
 
 /** Counters of Algorithm-1 searches, added to by each [[SignatureTree.search]]
@@ -189,6 +262,16 @@ final class SearchStats {
 }
 
 object SignatureTree {
+
+  /** What [[SigInner.queued]] holds: not queued; queued to recompute its
+    * scalars only (no changed child's impact lists changed); queued to
+    * recompute in full; queued to recompute in full and queue its parent
+    * `Forced` whether or not its value changed (an insert's path and splits).
+    */
+  private[index] final val Idle = 0
+  private[index] final val Scalars = 1
+  private[index] final val Lists = 2
+  private[index] final val Forced = 3
 
   /** Algorithm 1: branch-and-bound KNN over the given tree roots. A priority
     * queue ordered by the IEntry upper bound (Lemma 2) is seeded with the

@@ -165,4 +165,23 @@ class ProfilesSpec extends AnyFunSuite {
     }
     assert(reused > 0 && reused < 40, s"$reused of 40 batches flushed no window")
   }
+
+  test("entryStatsAfter equals entryStats, sharing the old arrays exactly where no flush fed the category") {
+    val rnd = new Random(7)
+    var p = Profiles.build(6L, randEvents(rnd, 23), IoHmm.random(2, NZ, NCats, 6), NCats, 5)
+    var prev = (0 until NCats).map(c => Profiles.entryStats(p, c, params.mu, collection))
+    var kept, rebuilt = 0
+    (1 to 40).foreach { i =>
+      val next = Profiles.refreshAfter(p, randEvents(rnd, rnd.nextInt(6) + 1).foldLeft(p)(Profiles.ingest))
+      val got = (0 until NCats).map(c => Profiles.entryStatsAfter(p, prev(c), next, c, params.mu, collection))
+      got.indices.foreach { c =>
+        assert(got(c) == Profiles.entryStats(next, c, params.mu, collection), s"batch $i, category $c")
+        val fed = next.catCount(c) != p.catCount(c)
+        assert(sharesArrays(got(c), prev(c)) == !fed, s"batch $i, category $c")
+        if (fed) rebuilt += 1 else kept += 1
+      }
+      p = next; prev = got
+    }
+    assert(kept > 0 && rebuilt > 0, s"$kept kept, $rebuilt rebuilt")
+  }
 }

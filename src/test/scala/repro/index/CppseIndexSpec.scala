@@ -277,4 +277,112 @@ class CppseIndexSpec extends AnyFunSuite {
     val evs = randEvents(new Random(21), 3)
     intercept[IllegalArgumentException](idx.applyUpdates(Seq(1L -> evs, 1L -> evs), makeProfileFor))
   }
+
+  /** User `u`'s leaf in each category, in category order. */
+  private def leavesOf(idx: CppseIndex, u: Long): IndexedSeq[EntryStats] =
+    (0 until NCats).map(c => idx.tree(TreeRef(idx.blockOf(u).get, c)).get.leafOf(u).get.stats)
+
+  test("applyUpdates without a flush keeps every touched leaf's arrays and links nothing") {
+    val rnd = new Random(23)
+    // 26-29 events into windows of 5: every window holds 1-4 events.
+    val idx = new CppseIndex(256, 4, params, collection, NCats)
+      .build((0L until 30L).map(u => randProfile(u, rnd, nEvents = 26 + rnd.nextInt(4))), 3)
+    val users = rnd.shuffle((0L until 30L).toList).take(12).sorted
+    val before = users.map(u => u -> (idx.profiles(u), leavesOf(idx, u))).toMap
+    val report = idx.applyUpdates(users.map { u =>
+      val p = idx.profiles(u)
+      u -> randEvents(rnd, rnd.nextInt(p.windowCap - p.window.size) + 1)
+    }, makeProfileFor)
+    users.foreach { u =>
+      val (old, oldLeaves) = before(u)
+      val p = idx.profiles(u)
+      assert((p.longSeq eq old.longSeq) && p.window.size > old.window.size, s"user $u flushed")
+      leavesOf(idx, u).zipWithIndex.foreach { case (s, c) =>
+        assert(s == Profiles.entryStats(p, c, params.mu, collection), s"user $u, category $c")
+        assert(sharesArrays(s, oldLeaves(c)), s"user $u, category $c: arrays rebuilt")
+      }
+    }
+    assert(report.newHashTriads == 0)
+    assert(report.ancestorRecomputes > 0 && report.scalarRecomputes == report.ancestorRecomputes)
+    assertExactTrees(idx, "no flush")
+    (1 to 20).foreach { i =>
+      val q = randQuery(rnd)
+      assert(idx.topK(q, 8, exact = true) == idx.scanTopK(q, 8), s"query $i")
+    }
+  }
+
+  test("applyUpdates after a flush reuses arrays exactly for the categories it did not feed") {
+    val rnd = new Random(24)
+    val idx = makeIndex(30, 3, 24) // full windows: the first new event flushes
+    val users = (0L until 30L by 3).toList
+    val before = users.map(u => u -> (idx.profiles(u), leavesOf(idx, u))).toMap
+    idx.applyUpdates(users.map(u => u -> randEvents(rnd, 2)), makeProfileFor)
+    var kept, rebuilt = 0
+    users.foreach { u =>
+      val (old, oldLeaves) = before(u)
+      val p = idx.profiles(u)
+      assert(p.totalLong > old.totalLong, s"user $u: no flush")
+      leavesOf(idx, u).zipWithIndex.foreach { case (s, c) =>
+        assert(s == Profiles.entryStats(p, c, params.mu, collection), s"user $u, category $c")
+        val fed = p.catCount(c) != old.catCount(c)
+        assert(sharesArrays(s, oldLeaves(c)) == !fed, s"user $u, category $c, fed: $fed")
+        if (fed) rebuilt += 1 else kept += 1
+      }
+    }
+    assert(kept > 0 && rebuilt > 0, s"$kept kept, $rebuilt rebuilt")
+    assertExactTrees(idx, "flush")
+  }
+
+  test("scalacheck: tiny batches keep leaves, IEntries, hash links and exact topK right") {
+    import org.scalacheck.{Gen, Prop, Test => ScTest}
+    var flushes, newUsers, rootGrowth = 0
+    val prop = Prop.forAll(Gen.choose(1L, 100000L)) { seed =>
+      val rnd = new Random(seed)
+      // Windows of 2 flush often; fanout 2 splits on most inserts.
+      def profile(u: Long, events: Seq[CompactEvent]): UserProfile =
+        Profiles.build(u, events, IoHmm.random(2, NZ, NCats, seed = u), NCats, 2)
+      val idx = new CppseIndex(64, 2, params, collection, NCats)
+        .build((0L until 10L).map(u => profile(u, randEvents(rnd, rnd.nextInt(8) + 1))), 2)
+      var next = 100L
+      (1 to 12).foreach { round =>
+        val what = s"seed $seed, round $round"
+        val picks = Seq.fill(rnd.nextInt(3) + 1) {
+          if (rnd.nextInt(5) == 0) { next += 1; next } else rnd.shuffle(idx.profiles.keys.toSeq).head
+        }
+        val batch = picks.groupBy(identity).toSeq.map { case (u, n) => u -> randEvents(rnd, n.size) }.sortBy(_._1)
+        val before = batch.flatMap { case (u, _) => idx.profiles.get(u).map(p => u -> (p, leavesOf(idx, u))) }
+        val heights = (0 until NCats).map(c => idx.treesOfCategory(c).map(height))
+        idx.applyUpdates(batch, profile)
+        newUsers += batch.size - before.size
+        if ((0 until NCats).exists(c => idx.treesOfCategory(c).map(height).zip(heights(c))
+              .exists { case (a, b) => a > b })) rootGrowth += 1
+        assertExactTrees(idx, what)
+        before.foreach { case (u, (old, oldLeaves)) =>
+          val p = idx.profiles(u)
+          if (p.longSeq ne old.longSeq) flushes += 1
+          leavesOf(idx, u).zipWithIndex.foreach { case (s, c) =>
+            assert(sharesArrays(s, oldLeaves(c)) == (p.catCount(c) == old.catCount(c)), s"$what: user $u, category $c")
+          }
+        }
+        idx.profiles.valuesIterator.foreach { p =>
+          p.entCount.foreach { case (c, em) =>
+            val t = idx.tree(TreeRef(idx.blockOf(p.userId).get, c)).get
+            em.keysIterator.foreach { e =>
+              assert(idx.locateTrees(new ItemQuery(0L, c, 0L, Array(e), Array(1.0))).exists(_ eq t),
+                     s"$what: ($c, $e) of user ${p.userId} does not locate its tree")
+            }
+          }
+        }
+        (1 to 4).foreach { i =>
+          val q = randQuery(rnd)
+          val k = rnd.nextInt(8) + 1
+          assert(idx.topK(q, k, exact = true) == idx.scanTopK(q, k), s"$what, query $i")
+        }
+      }
+      true
+    }
+    val res = ScTest.check(ScTest.Parameters.default.withMinSuccessfulTests(25), prop)
+    assert(res.passed, res.status.toString)
+    assert(flushes > 0 && newUsers > 0 && rootGrowth > 0, s"$flushes flushes, $newUsers new users, $rootGrowth root growths")
+  }
 }

@@ -302,4 +302,77 @@ class SignatureTreeSpec extends AnyFunSuite {
     assert(st.nodesPruned == 0 && st.leavesReached == 192)
     assert(st.nodesScored == forest.map(t => nodeCount(t.root.get)).sum)
   }
+
+  /** Depth of every leaf under `n`, `n` being at depth `d`. */
+  private def leafDepths(n: SigNode, d: Int = 0): Seq[Int] = n match {
+    case _: SigLeaf => Seq(d)
+    case i: SigInner => i.children.toSeq.flatMap(leafDepths(_, d + 1))
+  }
+
+  test("every leaf sits at one depth through bulk loads, inserts, splits and root growth") {
+    // updateAll recomputes level by level, which relies on this.
+    val rnd = new Random(21)
+    (2 to 5).foreach { fanout =>
+      val t = tree(entries(rnd.nextInt(30) + 1, 21L + fanout), fanout)
+      assert(leafDepths(t.root.get).distinct.size == 1, s"fanout $fanout, bulk load")
+      (500L until 560L).foreach { u =>
+        t.insert(u, randStats(rnd))
+        assert(leafDepths(t.root.get).distinct.size == 1, s"fanout $fanout, after inserting user $u")
+      }
+    }
+    val grown = tree(Seq.empty, fanout = 2)
+    (0L until 9L).foreach(u => grown.insert(u, randStats(rnd)))
+    assert(leafDepths(grown.root.get).distinct == Seq(4))
+  }
+
+  /** The IEntries from `n` up to the root. */
+  private def pathUp(n: SigInner): List[SigInner] = Iterator.iterate(n)(_.parent).takeWhile(_ != null).toList
+
+  test("early stop: a pS-only change below its parent's max recomputes exactly one IEntry") {
+    val t = tree(entries(64, 22)) // fanout 4: three IEntry levels
+    var cases = 0
+    t.leaves.sortBy(_._1).foreach { case (u, s) =>
+      val parent = t.leafOf(u).get.parent
+      if (s.pS < parent.stats.pS) {
+        val before = pathUp(parent).map(_.stats)
+        val counts = new RecomputeStats
+        val lower = new EntryStats(s.pL, s.pS / 2, s.invTot, s.prodKeys, s.prodVals, s.entKeys, s.entVals)
+        assert(t.updateAll(Seq(u -> lower), counts) == 1, s"user $u")
+        assert(counts.recomputes == 1 && counts.scalarRecomputes == 1, s"user $u")
+        assert(pathUp(parent).map(_.stats).zip(before).forall { case (a, b) => a eq b }, s"user $u")
+        assert(inexactIEntries(t.root.get) == 0, s"user $u")
+        cases += 1
+      }
+    }
+    assert(cases > 10, s"$cases leaves below their parent's max")
+  }
+
+  test("a change of pL or invTot alone reaches every IEntry it moves, keeping their arrays") {
+    val raise: Seq[(String, (EntryStats, EntryStats) => EntryStats)] = Seq(
+      "pL" -> ((s, top) => new EntryStats(2 * top.pL, s.pS, s.invTot, s.prodKeys, s.prodVals, s.entKeys, s.entVals)),
+      "invTot" -> ((s, top) => new EntryStats(s.pL, s.pS, 2 * top.invTot, s.prodKeys, s.prodVals, s.entKeys, s.entVals)))
+    raise.foreach { case (what, f) =>
+      val t = tree(entries(64, 23))
+      val path = pathUp(t.leafOf(9L).get.parent)
+      val before = path.map(_.stats)
+      val counts = new RecomputeStats
+      val s = f(t.leafOf(9L).get.stats, t.root.get.stats)
+      assert(t.updateAll(Seq(9L -> s), counts) == path.size, what)
+      assert(counts.scalarRecomputes == path.size, what)
+      assert(t.root.get.stats.pL == math.max(s.pL, before.last.pL), what)
+      assert(t.root.get.stats.invTot == math.max(s.invTot, before.last.invTot), what)
+      path.zip(before).foreach { case (n, b) => assert((n.stats ne b) && sharesArrays(n.stats, b), what) }
+      assert(inexactIEntries(t.root.get) == 0, what)
+    }
+  }
+
+  test("a leaf written with value-equal statistics recomputes nothing") {
+    val t = tree(entries(40, 24))
+    val copies = t.leaves.map { case (u, s) =>
+      u -> new EntryStats(s.pL, s.pS, s.invTot, s.prodKeys.clone(), s.prodVals.clone(),
+                          s.entKeys.clone(), s.entVals.clone())
+    }
+    assert(t.updateAll(copies) == 0)
+    assert(inexactIEntries(t.root.get) == 0)
+  }
 }

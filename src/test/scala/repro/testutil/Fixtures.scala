@@ -113,6 +113,11 @@ object Fixtures {
         i.children.iterator.map(inexactIEntries).sum
   }
 
+  /** Whether `a` holds `b`'s four impact-list arrays, by reference. */
+  def sharesArrays(a: EntryStats, b: EntryStats): Boolean =
+    (a.prodKeys eq b.prodKeys) && (a.prodVals eq b.prodVals) &&
+      (a.entKeys eq b.entKeys) && (a.entVals eq b.entVals)
+
   /** Distinct IEntries on the paths from the given leaves to the root. */
   def ancestorsOf(leaves: Iterable[SigNode]): Set[SigInner] =
     leaves.iterator.flatMap(l => Iterator.iterate(l.parent)(_.parent).takeWhile(_ != null)).toSet
