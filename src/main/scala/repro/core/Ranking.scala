@@ -49,35 +49,103 @@ object Ranking {
     if (c != 0) c else java.lang.Long.compare(a._1, b._1)
   }
 
-  /** Keeps the k first `(userId, score)` pairs offered, in [[rankOrder]]. */
+  /** Keeps the k first `(userId, score)` pairs offered, in [[rankOrder]]:
+    * a binary heap over parallel id and score arrays of size k, the worst
+    * pair kept at the root. Offering allocates nothing.
+    */
   final class TopK(k: Int) {
-    private val heap = scala.collection.mutable.PriorityQueue.empty(rankOrder) // head: worst kept
+    private val ids = new Array[Long](math.max(k, 0))
+    private val scores = new Array[Double](ids.length)
+    private var size = 0
+
+    /** Whether `(u1, s1)` comes before `(u2, s2)` in [[rankOrder]]. */
+    private def before(u1: Long, s1: Double, u2: Long, s2: Double): Boolean = {
+      val c = java.lang.Double.compare(s2, s1)
+      if (c != 0) c < 0 else u1 < u2
+    }
+
+    /** Put `(u, s)` at slot `i` or below, moving later-ranked children up. */
+    private def siftDown(from: Int, u: Long, s: Double): Unit = {
+      var i = from
+      var c = 2 * i + 1
+      while (c < size) {
+        if (c + 1 < size && before(ids(c), scores(c), ids(c + 1), scores(c + 1))) c += 1
+        if (before(u, s, ids(c), scores(c))) {
+          ids(i) = ids(c); scores(i) = scores(c)
+          i = c; c = 2 * i + 1
+        } else c = size
+      }
+      ids(i) = u; scores(i) = s
+    }
+
     /** The k-th best score so far; -∞ until k pairs are kept. */
-    def kthScore: Double = if (heap.size >= k && heap.nonEmpty) heap.head._2 else Double.NegativeInfinity
-    def offer(x: (Long, Double)): Unit =
-      if (heap.size < k) heap.enqueue(x)
-      else if (heap.nonEmpty && rankOrder.lt(x, heap.head)) { heap.dequeue(); heap.enqueue(x) }
-    def drain(): Seq[(Long, Double)] = heap.dequeueAll[(Long, Double)].reverse // best first
+    def kthScore: Double = if (size >= k && size > 0) scores(0) else Double.NegativeInfinity
+
+    def offer(userId: Long, score: Double): Unit =
+      if (size < k) {
+        var i = size
+        size += 1
+        while (i > 0 && before(ids((i - 1) >>> 1), scores((i - 1) >>> 1), userId, score)) {
+          val p = (i - 1) >>> 1
+          ids(i) = ids(p); scores(i) = scores(p)
+          i = p
+        }
+        ids(i) = userId; scores(i) = score
+      } else if (size > 0 && before(userId, score, ids(0), scores(0))) siftDown(0, userId, score)
+
+    def offer(x: (Long, Double)): Unit = offer(x._1, x._2)
+
+    /** The kept pairs, best first; the heap is left empty. */
+    def drain(): Seq[(Long, Double)] = {
+      val out = new Array[(Long, Double)](size)
+      while (size > 0) {
+        size -= 1
+        out(size) = (ids(0), scores(0))
+        if (size > 0) siftDown(0, ids(size), scores(size))
+      }
+      scala.collection.immutable.ArraySeq.unsafeWrapArray(out)
+    }
   }
 
   /** The k first `(userId, score)` pairs of `scored` in [[rankOrder]]. */
   def topK(scored: IterableOnce[(Long, Double)], k: Int): Seq[(Long, Double)] = {
-    val top = new TopK(k); scored.iterator.foreach(top.offer); top.drain()
+    val top = new TopK(k); scored.iterator.foreach(x => top.offer(x)); top.drain()
   }
 
   /** Encode an item as a query, applying entity expansion when enabled
-    * (ssRec-ne in the paper is exactly `expand = false`).
+    * (ssRec-ne in the paper is exactly `expand = false`). Each occurrence of
+    * an entity contributes 1 to its coefficient, then each of its expansions
+    * its weight; the contributions are kept in arrival order in primitive
+    * arrays, sorted by `(entity << 32) | arrival index`, and each entity's
+    * run is summed from 0 in arrival order.
     */
   def queryOf(itemId: Long, category: Int, producerId: Long, entities: Seq[Int],
               expansion: EntityExpansion, expand: Boolean): ItemQuery = {
-    val acc = scala.collection.mutable.Map.empty[Int, Double]
+    var n = 0
+    entities.foreach(e => n += 1 + (if (expand) expansion.of(e).size else 0))
+    val keys = new Array[Long](n)
+    val weightAt = new Array[Double](n)
+    var i = 0
+    def add(e: Int, w: Double): Unit = { keys(i) = (e.toLong << 32) | i; weightAt(i) = w; i += 1 }
     entities.foreach { e =>
-      acc(e) = acc.getOrElse(e, 0.0) + 1.0
-      if (expand) expansion.of(e).foreach { case (x, w) => acc(x) = acc.getOrElse(x, 0.0) + w }
+      add(e, 1.0)
+      if (expand) expansion.of(e).foreach { case (x, w) => add(x, w) }
     }
-    val ids = acc.keys.toArray
-    java.util.Arrays.sort(ids)
-    new ItemQuery(itemId, category, producerId, ids, ids.map(acc))
+    java.util.Arrays.sort(keys)
+    var distinct = 0
+    i = 0
+    while (i < n) { if (i == 0 || (keys(i) >> 32) != (keys(i - 1) >> 32)) distinct += 1; i += 1 }
+    val ids = new Array[Int](distinct)
+    val weights = new Array[Double](distinct)
+    var d = -1
+    i = 0
+    while (i < n) {
+      val e = (keys(i) >> 32).toInt
+      if (d < 0 || ids(d) != e) { d += 1; ids(d) = e }
+      weights(d) += weightAt(keys(i).toInt)
+      i += 1
+    }
+    new ItemQuery(itemId, category, producerId, ids, weights)
   }
 
   /** A query prepared to score many entries (Algorithm 1, a scan): the

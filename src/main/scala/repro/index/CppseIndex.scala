@@ -8,12 +8,14 @@ import scala.collection.mutable.ArrayBuffer
   */
 final case class TreeRef(block: Int, category: Int)
 
-/** One triad `⟨key, sptr, nextptr⟩` of the chained hash table (Section V-A):
-  * the category-entity pair's key string, the set of signature trees covering
-  * the pair, and the chain pointer for collisions.
+/** One triad `⟨key, sptr, nextptr⟩` of the chained hash table (Section V-A),
+  * stored as `⟨(c, e), blocks, next⟩`: the category-entity pair as two ints,
+  * the blocks whose tree of category `c` covers the pair (all of a triad's
+  * trees belong to its category, so the block id names the tree), and the
+  * chain pointer for collisions.
   */
-final class HashTriad(val key: String,
-                      val trees: scala.collection.mutable.Set[TreeRef],
+final class HashTriad(val category: Int, val entity: Int,
+                      val blocks: scala.collection.mutable.BitSet,
                       var next: HashTriad) extends Serializable
 
 /** Report of one maintenance pass (Algorithm 2) — used by tests and by the
@@ -75,34 +77,39 @@ final class CppseIndex(val nBuckets: Int,
 
   // ---------------------------------------------------------------- hashing
 
-  /** Look up the triad of a category-entity pair, if present. */
-  private def findTriad(c: Int, e: Int): Option[HashTriad] = {
-    val key = Hashing.pairKey(c, e)
-    var node = buckets(Hashing.shiftAddXor(key, nBuckets))
-    while (node != null) {
-      if (node.key == key) return Some(node)
-      node = node.next
-    }
-    None
+  /** The triad of a category-entity pair, or null. */
+  private def findTriad(c: Int, e: Int): HashTriad = {
+    var node = buckets(Hashing.pairHash(c, e, nBuckets))
+    while (node != null && (node.category != c || node.entity != e)) node = node.next
+    node
   }
 
-  /** Link a tree under a category-entity pair, creating the triad if needed.
+  /** Link block `block`'s tree of category `c` under the pair `(c, e)`,
+    * creating the triad if needed.
     * @return true if a new triad was inserted (a previously-unseen pair).
     */
-  private def link(c: Int, e: Int, ref: TreeRef): Boolean = findTriad(c, e) match {
-    case Some(t) => t.trees += ref; false
-    case None =>
-      val key = Hashing.pairKey(c, e)
-      val b = Hashing.shiftAddXor(key, nBuckets)
-      buckets(b) = new HashTriad(key, scala.collection.mutable.Set(ref), buckets(b))
+  private def link(c: Int, e: Int, block: Int): Boolean = findTriad(c, e) match {
+    case null =>
+      val b = Hashing.pairHash(c, e, nBuckets)
+      buckets(b) = new HashTriad(c, e, scala.collection.mutable.BitSet(block), buckets(b))
       true
+    case t => t.blocks += block; false
   }
 
-  /** Trees reachable from the query's category-entity pairs (fast mode). */
+  /** Trees reachable from the query's category-entity pairs (fast mode), in
+    * block order.
+    */
   def locateTrees(q: ItemQuery): Seq[SignatureTree] = {
-    val refs = scala.collection.mutable.Set.empty[TreeRef]
-    q.entityIds.foreach(e => findTriad(q.category, e).foreach(refs ++= _.trees))
-    refs.iterator.flatMap(tree).toSeq
+    val trees = forest(q.category)
+    val hit = new Array[Boolean](trees.length)
+    val mark = (b: Int) => hit(b) = true
+    var i = 0
+    while (i < q.entityIds.length) {
+      val t = findTriad(q.category, q.entityIds(i))
+      if (t != null) t.blocks.foreach(mark)
+      i += 1
+    }
+    trees.iterator.filter(t => hit(t.block)).toSeq
   }
 
   // ------------------------------------------------------------------ build
@@ -153,7 +160,7 @@ final class CppseIndex(val nBuckets: Int,
     if (ent ne before) ent.foreach { case (c, em) =>
       val had = before.getOrElse(c, null)
       if (em ne had) em.keysIterator.foreach { e =>
-        if ((had == null || !had.contains(e)) && link(c, e, TreeRef(block, c))) fresh += 1
+        if ((had == null || !had.contains(e)) && link(c, e, block)) fresh += 1
       }
     }
     fresh
@@ -169,8 +176,8 @@ final class CppseIndex(val nBuckets: Int,
     */
   def topK(q: ItemQuery, k: Int, exact: Boolean = false,
            stats: SearchStats = new SearchStats): Seq[(Long, Double)] = {
-    val candidates = if (exact) treesOfCategory(q.category) else locateTrees(q)
-    SignatureTree.search(candidates.iterator.flatMap(_.root), q, k, params, collection, stats)
+    val candidates = if (exact) forest(q.category).iterator else locateTrees(q).iterator
+    SignatureTree.search(candidates.flatMap(_.root), q, k, params, collection, stats)
   }
 
   /** Sequential scan over every indexed profile with the same scorer — the
@@ -216,7 +223,7 @@ final class CppseIndex(val nBuckets: Int,
       (0 until nCategories).foreach { c =>
         val t = forest(c)(b)
         t.updateAll(ps.map { case (old, p) =>
-          p.userId -> Profiles.entryStatsAfter(old, t.leafOf(p.userId).get.stats, p, c, params.mu, collection)
+          p.userId -> ((leaf: EntryStats) => Profiles.entryStatsAfter(old, leaf, p, c, params.mu, collection))
         }, counts)
       }
     }

@@ -21,7 +21,7 @@ object Hashing {
     var h = seed
     var i = 0
     while (i < s.length) {
-      h = h ^ ((h << l) + (h >>> r) + s.charAt(i))
+      h = step(h, s.charAt(i), l, r)
       i += 1
     }
     math.floorMod(h, buckets)
@@ -30,7 +30,27 @@ object Hashing {
   /** Canonical key string of a category-entity pair. */
   def pairKey(category: Int, entity: Int): String = s"c$category#e$entity"
 
-  /** Bucket of a category-entity pair. */
-  def pairHash(category: Int, entity: Int, buckets: Int): Int =
-    shiftAddXor(pairKey(category, entity), buckets)
+  /** Bucket of a category-entity pair: `shiftAddXor(pairKey(category,
+    * entity), buckets)`, computed over the key's characters without building
+    * the key.
+    */
+  def pairHash(category: Int, entity: Int, buckets: Int): Int = {
+    require(buckets > 0, "buckets must be positive")
+    val h = decimal(step(step(decimal(step(DefaultSeed, 'c'), category), '#'), 'e'), entity)
+    math.floorMod(h, buckets)
+  }
+
+  /** `step(i, h, c)` of Eq. 5. */
+  private def step(h: Int, c: Int, l: Int = DefaultL, r: Int = DefaultR): Int = h ^ ((h << l) + (h >>> r) + c)
+
+  /** `h` stepped over the characters of `x.toString`. */
+  private def decimal(h0: Int, x: Int): Int = {
+    var h = h0
+    var v = x.toLong
+    if (v < 0) { h = step(h, '-'); v = -v }
+    var p = 1L
+    while (p * 10 <= v) p *= 10
+    while (p > 0) { h = step(h, '0' + (v / p % 10).toInt); p /= 10 }
+    h
+  }
 }

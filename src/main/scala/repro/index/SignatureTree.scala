@@ -139,20 +139,25 @@ final class SignatureTree(val block: Int, val category: Int, val fanout: Int)
     this
   }
 
-  /** Algorithm 2 on this tree: write every user's new leaf statistics, then
-    * recompute, bottom-up and at most once each, the IEntries above the leaves
-    * whose value changed, stopping at those whose value does not change.
+  /** Algorithm 2 on this tree: give each listed user's leaf the statistics
+    * its function makes of the leaf's old ones, then recompute, bottom-up and
+    * at most once each, the IEntries above the leaves whose value changed,
+    * stopping at those whose value does not change. Each leaf is looked up
+    * once; a user missing from the tree fails the batch before any change.
     * The recomputes are added to `counts`.
     * @return the number of IEntries recomputed.
     */
-  def updateAll(batch: Iterable[(Long, EntryStats)], counts: RecomputeStats = new RecomputeStats): Int = {
-    batch.foreach { case (u, _) =>
-      require(leavesById.contains(u), s"user $u missing from tree ($block,$category)")
-    }
+  def updateAll(batch: Iterable[(Long, EntryStats => EntryStats)],
+                counts: RecomputeStats = new RecomputeStats): Int = {
+    val leaves = batch.iterator.map { case (u, _) =>
+      val leaf = leavesById.getOrElse(u, null)
+      require(leaf != null, s"user $u missing from tree ($block,$category)")
+      leaf
+    }.toArray
     val level = ArrayBuffer.empty[SigInner]
-    batch.foreach { case (u, s) =>
-      val leaf = leavesById(u)
+    batch.iterator.zip(leaves).foreach { case ((_, next), leaf) =>
       val old = leaf.stats
+      val s = next(old)
       leaf.stats = s
       if (!s.sameLists(old)) queue(leaf.parent, Lists, level)
       else if (!s.sameScalars(old)) queue(leaf.parent, Scalars, level)
@@ -160,12 +165,12 @@ final class SignatureTree(val block: Int, val category: Int, val fanout: Int)
     propagate(level, IndexedSeq.empty, counts)
   }
 
-  /** [[updateAll]] of one user.
+  /** [[updateAll]] of one user, to `stats`.
     * @return false if the user is not in this tree.
     */
   def update(userId: Long, stats: EntryStats): Boolean =
     if (!leavesById.contains(userId)) false
-    else { updateAll(Seq(userId -> stats)); true }
+    else { updateAll(Seq(userId -> ((_: EntryStats) => stats))); true }
 
   /** Insert a new user: descend into the smallest subtree, attach the leaf at
     * the deepest internal level, split overflowing nodes upward (a root split
@@ -273,40 +278,117 @@ object SignatureTree {
   private[index] final val Lists = 2
   private[index] final val Forced = 3
 
-  /** Algorithm 1: branch-and-bound KNN over the given tree roots. A priority
-    * queue ordered by the IEntry upper bound (Lemma 2) is seeded with the
-    * roots; entries whose bound reaches the current k-th best score `LB` are
-    * expanded, and leaves are collected into a size-k result heap. Results rank
-    * in [[Ranking.rankOrder]] (score descending, then userId ascending), like
-    * [[CppseIndex.scanTopK]], so an entry is pruned only when its bound is
-    * strictly below `LB`: a bound equal to `LB` may still hold a lower userId.
-    * Every node is scored by one [[Ranking.Scorer]] prepared for `q`; the
-    * search's counts are added to `stats`.
+  /** Algorithm 1: branch-and-bound KNN over the given tree roots. A max-heap
+    * of nodes keyed by their upper bound (Lemma 2) is seeded with the roots;
+    * entries whose bound reaches the current k-th best score `LB` are
+    * expanded, and leaves are collected into a size-k [[Ranking.TopK]].
+    * Results rank in [[Ranking.rankOrder]] (score descending, then userId
+    * ascending), like [[CppseIndex.scanTopK]], so an entry is pruned only when
+    * its bound is strictly below `LB`: a bound equal to `LB` may still hold a
+    * lower userId. Every node is scored by one [[Ranking.Scorer]] prepared for
+    * `q`; the search's counts are added to `stats`.
+    *
+    * Nothing is allocated per scored node. The node heap keeps bounds in a
+    * `double` array beside a node array and is kept per thread between
+    * searches; the result heap keeps ids and scores in primitive arrays of
+    * size k. A warm search allocates its scorer, the result heap and its k
+    * results. Nodes of equal bound leave the node heap in an unspecified
+    * order. That order can move the `stats` counters, since it decides which
+    * of them are expanded before the k-th score rises past their bound, but
+    * never the result, which the bound and the rank order fix.
     */
   def search(roots: IterableOnce[SigNode], q: ItemQuery, k: Int, prm: RankParams,
              col: CollectionStats, stats: SearchStats = new SearchStats): Seq[(Long, Double)] = {
     require(k >= 1, "k must be >= 1")
     val scorer = new Ranking.Scorer(q, prm, col)
-    val queue = mutable.PriorityQueue.empty[(Double, SigNode)](
-      Ordering.by[(Double, SigNode), Double](_._1))
-    roots.iterator.foreach { r =>
-      stats.treesLocated += 1; stats.nodesScored += 1
-      queue.enqueue((scorer.score(r.stats), r))
-    }
-    val top = new Ranking.TopK(k)
-    def lb: Double = top.kthScore
-    while (queue.nonEmpty && queue.head._1 >= lb) queue.dequeue() match {
-      case (s, leaf: SigLeaf) => // s >= LB; a tie keeps the lower userId
-        stats.leavesReached += 1
-        top.offer((leaf.userId, s))
-      case (_, inner: SigInner) =>
-        stats.nodesScored += inner.children.size
-        inner.children.foreach { ch =>
-          val s = scorer.score(ch.stats)
-          if (s >= lb) queue.enqueue((s, ch)) else stats.nodesPruned += 1
+    val frontier = frontiers.get()
+    try {
+      roots.iterator.foreach { r =>
+        stats.treesLocated += 1; stats.nodesScored += 1
+        frontier.push(scorer.score(r.stats), r)
+      }
+      val top = new Ranking.TopK(k)
+      while (frontier.size > 0 && frontier.maxBound >= top.kthScore) {
+        val bound = frontier.maxBound
+        frontier.pop() match {
+          case leaf: SigLeaf => // bound >= LB; a tie keeps the lower userId
+            stats.leavesReached += 1
+            top.offer(leaf.userId, bound)
+          case inner: SigInner =>
+            val children = inner.children
+            stats.nodesScored += children.length
+            var i = 0
+            while (i < children.length) {
+              val ch = children(i)
+              val s = scorer.score(ch.stats)
+              if (s >= top.kthScore) frontier.push(s, ch) else stats.nodesPruned += 1
+              i += 1
+            }
         }
+      }
+      stats.nodesPruned += frontier.size
+      top.drain()
+    } finally frontier.clear()
+  }
+
+  /** Each thread's [[search]] frontier, kept between its searches so that a
+    * warm search allocates none.
+    */
+  private val frontiers: ThreadLocal[BoundHeap] = ThreadLocal.withInitial(() => new BoundHeap)
+
+  /** The binary max-heap of [[search]]: node `nodes(i)` has upper bound
+    * `bounds(i)`, and a parent's bound is at least its children's. Both
+    * arrays double when full.
+    */
+  private final class BoundHeap {
+    private var bounds = new Array[Double](64)
+    private var nodes = new Array[SigNode](64)
+    var size = 0
+
+    /** Empty the heap, dropping its node references. */
+    def clear(): Unit = {
+      java.util.Arrays.fill(nodes.asInstanceOf[Array[AnyRef]], 0, size, null)
+      size = 0
     }
-    stats.nodesPruned += queue.size
-    top.drain()
+
+    /** The largest bound held; the heap must not be empty. */
+    def maxBound: Double = bounds(0)
+
+    def push(bound: Double, node: SigNode): Unit = {
+      if (size == bounds.length) {
+        bounds = java.util.Arrays.copyOf(bounds, 2 * size)
+        nodes = java.util.Arrays.copyOf(nodes, 2 * size)
+      }
+      var i = size
+      size += 1
+      while (i > 0 && bounds((i - 1) >>> 1) < bound) {
+        val p = (i - 1) >>> 1
+        bounds(i) = bounds(p); nodes(i) = nodes(p)
+        i = p
+      }
+      bounds(i) = bound; nodes(i) = node
+    }
+
+    /** Remove and return a node of the largest bound. */
+    def pop(): SigNode = {
+      val top = nodes(0)
+      size -= 1
+      val bound = bounds(size)
+      val node = nodes(size)
+      nodes(size) = null
+      if (size > 0) {
+        var i = 0
+        var c = 1
+        while (c < size) {
+          if (c + 1 < size && bounds(c + 1) > bounds(c)) c += 1
+          if (bounds(c) > bound) {
+            bounds(i) = bounds(c); nodes(i) = nodes(c)
+            i = c; c = 2 * i + 1
+          } else c = size
+        }
+        bounds(i) = bound; nodes(i) = node
+      }
+      top
+    }
   }
 }

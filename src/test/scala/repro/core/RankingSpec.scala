@@ -156,4 +156,58 @@ class RankingSpec extends AnyFunSuite {
     assert(q.entityWeights == q.entityIds.toSeq.zip(q.weights))
     intercept[IllegalArgumentException](ItemQuery(1L, 0, 2L, Seq(4 -> 1.0, 4 -> 2.0)))
   }
+
+  test("TopK equals a full sort on random streams with many ties, for every k") {
+    val rnd = new Random(31)
+    (1 to 200).foreach { i =>
+      val n = rnd.nextInt(40)
+      // Few distinct scores (-0.0 and 0.0 among them) and repeated ids.
+      val stream = Seq.fill(n)(rnd.nextLong(n + 5L) -> Seq(0.0, -0.0, -1.0, -2.5, 3.0)(rnd.nextInt(5)))
+      val want = stream.sortBy { case (u, s) => (-s, u) }
+      (0 to n + 2).foreach { k =>
+        assert(Ranking.topK(stream, k) == want.take(k), s"case $i, k = $k")
+        val top = new Ranking.TopK(k)
+        stream.foreach { case (u, s) => top.offer(u, s) }
+        val kth = if (k >= 1 && n >= k) want(k - 1)._2 else Double.NegativeInfinity
+        assert(java.lang.Double.compare(top.kthScore, kth) == 0, s"case $i, k = $k")
+        assert(top.drain() == want.take(k), s"case $i, k = $k")
+      }
+    }
+  }
+
+  test("TopK keeps nothing for k = 0 or an empty stream") {
+    val none = new Ranking.TopK(0)
+    none.offer(1L, 2.0)
+    assert(none.kthScore == Double.NegativeInfinity && none.drain().isEmpty)
+    val empty = new Ranking.TopK(5)
+    assert(empty.kthScore == Double.NegativeInfinity && empty.drain().isEmpty)
+    assert(Ranking.topK(Seq(1L -> 2.0, 3L -> 4.0), 0).isEmpty)
+    assert(Ranking.topK(Seq.empty, 3).isEmpty)
+  }
+
+  test("queryOf equals the Map-based build bit for bit") {
+    val rnd = new Random(32)
+    var overlaps = 0
+    (1 to 500).foreach { i =>
+      // A small vocabulary, so entities repeat and expansions overlap the
+      // item's own entities and each other.
+      val vocab = IndexedSeq(0, 1, 2, 3, 5, 8, 13, 127, 128, 40000, Int.MaxValue)
+      val table = EntityExpansion(vocab.map { e =>
+        e -> Seq.fill(rnd.nextInt(4))(vocab(rnd.nextInt(vocab.size)) -> rnd.nextDouble())
+      }.toMap)
+      val entities = Seq.fill(rnd.nextInt(9))(vocab(rnd.nextInt(vocab.size)))
+      Seq(true, false).foreach { expand =>
+        val got = Ranking.queryOf(7L, 2, 3L, entities, table, expand)
+        val want = refQueryOf(7L, 2, 3L, entities, table, expand)
+        assert(got.entityIds.toSeq == want.entityIds.toSeq, s"case $i, expand = $expand")
+        got.weights.zip(want.weights).foreach { case (a, b) =>
+          assert(java.lang.Double.compare(a, b) == 0, s"case $i, expand = $expand: $a != $b")
+        }
+        assert((got.itemId, got.category, got.producerId) == (7L, 2, 3L))
+      }
+      val contributed = entities ++ entities.flatMap(table.of(_).map(_._1))
+      if (contributed.distinct.size < contributed.size) overlaps += 1
+    }
+    assert(overlaps > 100, s"$overlaps cases sum more than one contribution per entity")
+  }
 }

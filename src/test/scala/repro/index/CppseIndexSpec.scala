@@ -385,4 +385,68 @@ class CppseIndexSpec extends AnyFunSuite {
     assert(res.passed, res.status.toString)
     assert(flushes > 0 && newUsers > 0 && rootGrowth > 0, s"$flushes flushes, $newUsers new users, $rootGrowth root growths")
   }
+
+  /** The trees fast mode must locate for `q`, from the profiles: each block
+    * with a user whose entity counts in `q`'s category hold one of `q`'s
+    * entities.
+    */
+  private def refLocated(idx: CppseIndex, q: ItemQuery): Set[TreeRef] =
+    idx.profiles.valuesIterator.collect {
+      case p if p.entCount.get(q.category).exists(em => q.entityIds.exists(em.contains)) =>
+        TreeRef(idx.blockOf(p.userId).get, q.category)
+    }.toSet
+
+  test("locateTrees equals the Set[TreeRef] reference through updates, new users and a first block") {
+    val rnd = new Random(25)
+    Seq(0, 30).foreach { nUsers =>
+      // From an empty index, the first new user opens block 0.
+      val idx = new CppseIndex(16, 3, params, collection, NCats)
+        .build((0L until nUsers.toLong).map(u => randProfile(u, rnd, nEvents = rnd.nextInt(20) + 1)), 4)
+      var next = 1000L
+      (1 to 15).foreach { round =>
+        val known = rnd.shuffle(idx.profiles.keys.toList).take(rnd.nextInt(6))
+          .map(u => u -> randEvents(rnd, rnd.nextInt(8) + 1))
+        val fresh = (0 until rnd.nextInt(4)).map { _ => next += 1; next -> randEvents(rnd, rnd.nextInt(8) + 1) }
+        idx.applyUpdates((known ++ fresh).sortBy(_._1), makeProfileFor)
+        (0 until 30).foreach { i =>
+          val q = if (i < 10) randQuery(rnd)
+                  else ItemQuery(0L, rnd.nextInt(NCats), 0L, Seq(rnd.nextInt(NEnt) -> 1.0))
+          val got = idx.locateTrees(q)
+          val what = s"$nUsers users, round $round, query $i"
+          assert(got.map(t => TreeRef(t.block, t.category)).toSet == refLocated(idx, q), what)
+          assert(got.map(_.block) == got.map(_.block).sorted.distinct, s"$what: not in block order")
+          got.foreach(t => assert(idx.tree(TreeRef(t.block, t.category)).exists(_ eq t), what))
+        }
+      }
+      assert(idx.numBlocks >= 1 && idx.profiles.size > nUsers)
+    }
+  }
+
+  test("exact topK equals the scan on ids and scores when many IEntry bounds tie") {
+    val rnd = new Random(26)
+    // Most users share one profile: their leaves are equal, so are the
+    // IEntries over them and the bounds the search compares.
+    val twinEvents = randEvents(rnd, 30)
+    val twinModel = IoHmm.random(2, NZ, NCats, seed = 3)
+    val users = (0L until 90L).map { u =>
+      if (u % 9 == 4) randProfile(u, rnd) else Profiles.build(u, twinEvents, twinModel, NCats, 5)
+    }
+    val idx = new CppseIndex(256, 3, params, collection, NCats).build(users, 3)
+    val tiedIEntries = (0 until NCats).map { c =>
+      idx.treesOfCategory(c).flatMap(t => t.root.toSeq.flatMap(innerStats)).groupBy(identity).values.count(_.size > 1)
+    }.sum
+    assert(tiedIEntries > 0, "no two IEntries tie")
+    (1 to 20).foreach { i =>
+      val q = randQuery(rnd)
+      Seq(1, 5, 17, 30, 60, 89, 90, 95).foreach { k =>
+        assert(idx.topK(q, k, exact = true) == idx.scanTopK(q, k), s"case $i, k = $k")
+      }
+    }
+  }
+
+  /** The statistics of every IEntry under `n`, inclusive. */
+  private def innerStats(n: SigNode): Seq[EntryStats] = n match {
+    case _: SigLeaf => Seq.empty
+    case i: SigInner => i.stats +: i.children.toSeq.flatMap(innerStats)
+  }
 }

@@ -46,4 +46,18 @@ class HashingSpec extends AnyFunSuite {
   test("empty string hashes to seed mod buckets") {
     assert(Hashing.shiftAddXor("", 100) == math.floorMod(Hashing.DefaultSeed, 100))
   }
+
+  test("pairHash equals shiftAddXor of the pair key") {
+    val rnd = new scala.util.Random(5)
+    val edges = Seq(0, 1, 9, 10, 99, 100, 12345, Int.MaxValue, -1, -10, Int.MinValue)
+    val pairs = (for (c <- edges; e <- edges) yield (c, e)) ++
+      Seq.fill(2000)((rnd.nextInt(40), rnd.nextInt()))
+    Seq(1, 7, 64, 2048, Int.MaxValue).foreach { buckets =>
+      pairs.foreach { case (c, e) =>
+        assert(Hashing.pairHash(c, e, buckets) == Hashing.shiftAddXor(Hashing.pairKey(c, e), buckets),
+               s"($c, $e) into $buckets buckets")
+      }
+    }
+    intercept[IllegalArgumentException](Hashing.pairHash(1, 2, 0))
+  }
 }

@@ -29,6 +29,10 @@ class SignatureTreeSpec extends AnyFunSuite {
     t.leaves.map { case (u, s) => (u, Ranking.score(s, q, params, collection)) }
       .sortBy { case (u, s) => (-s, u) }.take(k)
 
+  /** A batch for [[SignatureTree.updateAll]] that writes the given statistics. */
+  private def writes(batch: Seq[(Long, EntryStats)]): Seq[(Long, EntryStats => EntryStats)] =
+    batch.map { case (u, s) => u -> ((_: EntryStats) => s) }
+
   private def checkTreeBounds(n: SigNode): Unit = n match {
     case _: SigLeaf => ()
     case i: SigInner =>
@@ -197,7 +201,7 @@ class SignatureTreeSpec extends AnyFunSuite {
         u -> (if (rnd.nextBoolean()) shrunk(s, rnd.nextDouble() * 0.9 + 0.05, rnd) else randStats(rnd))
       }
       val dirty = ancestorsOf(users.map(t.leafOf(_).get))
-      assert(t.updateAll(batch) == dirty.size, s"round $round: one recompute per dirty IEntry")
+      assert(t.updateAll(writes(batch)) == dirty.size, s"round $round: one recompute per dirty IEntry")
       batch.foreach { case (u, s) => assert(t.leafOf(u).get.stats == s) }
       assert(inexactIEntries(t.root.get) == 0, s"round $round: stale IEntry")
       val q = randQuery(rnd)
@@ -209,7 +213,7 @@ class SignatureTreeSpec extends AnyFunSuite {
     val t = tree(entries(10, 17))
     val before = t.leaves.toMap
     val e = intercept[IllegalArgumentException](
-      t.updateAll(Seq(1L -> randStats(new Random(17)), 999L -> randStats(new Random(18)))))
+      t.updateAll(writes(Seq(1L -> randStats(new Random(17)), 999L -> randStats(new Random(18))))))
     assert(e.getMessage.contains("user 999 missing from tree (0,0)"))
     assert(t.leaves.toMap == before)
   }
@@ -337,7 +341,7 @@ class SignatureTreeSpec extends AnyFunSuite {
         val before = pathUp(parent).map(_.stats)
         val counts = new RecomputeStats
         val lower = new EntryStats(s.pL, s.pS / 2, s.invTot, s.prodKeys, s.prodVals, s.entKeys, s.entVals)
-        assert(t.updateAll(Seq(u -> lower), counts) == 1, s"user $u")
+        assert(t.updateAll(writes(Seq(u -> lower)), counts) == 1, s"user $u")
         assert(counts.recomputes == 1 && counts.scalarRecomputes == 1, s"user $u")
         assert(pathUp(parent).map(_.stats).zip(before).forall { case (a, b) => a eq b }, s"user $u")
         assert(inexactIEntries(t.root.get) == 0, s"user $u")
@@ -357,7 +361,7 @@ class SignatureTreeSpec extends AnyFunSuite {
       val before = path.map(_.stats)
       val counts = new RecomputeStats
       val s = f(t.leafOf(9L).get.stats, t.root.get.stats)
-      assert(t.updateAll(Seq(9L -> s), counts) == path.size, what)
+      assert(t.updateAll(writes(Seq(9L -> s)), counts) == path.size, what)
       assert(counts.scalarRecomputes == path.size, what)
       assert(t.root.get.stats.pL == math.max(s.pL, before.last.pL), what)
       assert(t.root.get.stats.invTot == math.max(s.invTot, before.last.invTot), what)
@@ -372,7 +376,51 @@ class SignatureTreeSpec extends AnyFunSuite {
       u -> new EntryStats(s.pL, s.pS, s.invTot, s.prodKeys.clone(), s.prodVals.clone(),
                           s.entKeys.clone(), s.entVals.clone())
     }
-    assert(t.updateAll(copies) == 0)
+    assert(t.updateAll(writes(copies)) == 0)
     assert(inexactIEntries(t.root.get) == 0)
+  }
+
+  test("search equals brute force on trees whose bounds tie") {
+    val rnd = new Random(25)
+    // A few distinct statistics shared by many users: equal leaves, equal
+    // IEntries and equal scores straddling rank k.
+    val shapes = IndexedSeq.fill(3)(randStats(rnd))
+    val forest = (0 until 3).map { b =>
+      tree((0L until 40L).map(u => (u * 3 + b, shapes(rnd.nextInt(3)))), fanout = 2 + b)
+    }
+    def all(q: ItemQuery): Seq[(Long, Double)] = forest.flatMap(t => bruteForce(t, q, t.size))
+      .sortBy { case (u, s) => (-s, u) }
+    (1 to 30).foreach { i =>
+      val q = randQuery(rnd)
+      (1 to 125 by 6).foreach { k =>
+        val got = SignatureTree.search(forest.flatMap(_.root), q, k, params, collection)
+        assert(got == all(q).take(k), s"case $i, k = $k")
+      }
+    }
+  }
+
+  test("a warm search allocates O(k) bytes, however many nodes it scores") {
+    val mx = java.lang.management.ManagementFactory.getThreadMXBean
+      .asInstanceOf[com.sun.management.ThreadMXBean]
+    def allocated(): Long = mx.getThreadAllocatedBytes(Thread.currentThread().getId)
+    val rnd = new Random(26)
+    val forest = (0 until 4).map(b => tree(entries(256, 26L + b).map { case (u, s) => (u + 1000L * b, s) }))
+    val roots = forest.flatMap(_.root)
+    val queries = IndexedSeq.fill(50)(randQuery(rnd))
+    /** Nodes scored and bytes allocated per warm search at `k`. */
+    def perSearch(k: Int): (Long, Long) = {
+      (1 to 40).foreach(_ => queries.foreach(q => SignatureTree.search(roots, q, k, params, collection)))
+      val st = new SearchStats
+      val before = allocated()
+      (1 to 10).foreach(_ => queries.foreach(q => SignatureTree.search(roots, q, k, params, collection, st)))
+      val n = 10L * queries.size
+      (st.nodesScored / n, (allocated() - before) / n)
+    }
+    Seq(1, 30, 100).foreach { k =>
+      val (scored, bytes) = perSearch(k)
+      if (k == 30) assert(scored >= 10 * k, s"$scored nodes scored: the fixture must score at least 10k")
+      // The scorer, the result heap's two arrays and the k results.
+      assert(bytes < 2048 + 96 * k, s"k = $k: $bytes bytes per search, $scored nodes scored")
+    }
   }
 }

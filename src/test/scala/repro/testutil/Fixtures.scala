@@ -89,6 +89,21 @@ object Fixtures {
     EntryStats(top(_.pL), top(_.pS), top(_.invTot), maxMap(xs.map(_.prod)), maxMap(xs.map(_.ent)))
   }
 
+  /** The Map-based query build that [[Ranking.queryOf]] replaced: the
+    * reference its ids and weights must equal bit for bit.
+    */
+  def refQueryOf(itemId: Long, category: Int, producerId: Long, entities: Seq[Int],
+                 expansion: EntityExpansion, expand: Boolean): ItemQuery = {
+    val acc = scala.collection.mutable.Map.empty[Int, Double]
+    entities.foreach { e =>
+      acc(e) = acc.getOrElse(e, 0.0) + 1.0
+      if (expand) expansion.of(e).foreach { case (x, w) => acc(x) = acc.getOrElse(x, 0.0) + w }
+    }
+    val ids = acc.keys.toArray
+    java.util.Arrays.sort(ids)
+    new ItemQuery(itemId, category, producerId, ids, ids.map(acc))
+  }
+
   /** A random event stream for one user. */
   def randEvents(rnd: Random, n: Int): Seq[CompactEvent] =
     (0 until n).map { _ =>
