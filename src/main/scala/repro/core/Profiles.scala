@@ -14,8 +14,28 @@ final case class CompactEvent(category: Int, producerId: Long, entities: Seq[Int
   */
 final case class CollectionStats(bgProd: Map[Long, Double], bgEnt: Map[Int, Double],
                                  nProducers: Long, nEntities: Long) {
-  def producerBg(p: Long): Double = bgProd.getOrElse(p, 1.0 / math.max(1L, nProducers).toDouble)
-  def entityBg(e: Int): Double    = bgEnt.getOrElse(e, 1.0 / math.max(1L, nEntities).toDouble)
+  // The maps again as sorted primitive arrays, with the value of an absent
+  // key computed once: a lookup is a binary search that allocates nothing.
+  // Transient, so serialized copies (the streaming state holds one per
+  // category) carry the maps alone and rebuild the arrays on first use.
+  @transient private lazy val prodKeys: Array[Long] = { val k = bgProd.keys.toArray; java.util.Arrays.sort(k); k }
+  @transient private lazy val prodVals: Array[Double] = prodKeys.map(bgProd)
+  private val prodFloor: Double = 1.0 / math.max(1L, nProducers).toDouble
+  @transient private lazy val entKeys: Array[Int] = { val k = bgEnt.keys.toArray; java.util.Arrays.sort(k); k }
+  @transient private lazy val entVals: Array[Double] = entKeys.map(bgEnt)
+  private val entFloor: Double = 1.0 / math.max(1L, nEntities).toDouble
+
+  /** `bgProd(p)`, or `1/nProducers` for a producer absent from it. */
+  def producerBg(p: Long): Double = {
+    val i = java.util.Arrays.binarySearch(prodKeys, p)
+    if (i >= 0) prodVals(i) else prodFloor
+  }
+
+  /** `bgEnt(e)`, or `1/nEntities` for an entity absent from it. */
+  def entityBg(e: Int): Double = {
+    val i = java.util.Arrays.binarySearch(entKeys, e)
+    if (i >= 0) entVals(i) else entFloor
+  }
 }
 
 /** The statistics a signature-tree entry carries for one (user, category):
@@ -30,17 +50,6 @@ final case class CollectionStats(bgProd: Map[Long, Double], bgEnt: Map[Int, Doub
 final class EntryStats(val pL: Double, val pS: Double, val invTot: Double,
                        val prodKeys: Array[Long], val prodVals: Array[Double],
                        val entKeys: Array[Int], val entVals: Array[Double]) extends Serializable {
-
-  /** The producer list as a map: a conversion for tests, not for a hot path. */
-  def prod: Map[Long, Double] = prodKeys.iterator.zip(prodVals.iterator).toMap
-
-  /** The entity list as a map: a conversion for tests, not for a hot path. */
-  def ent: Map[Int, Double] = entKeys.iterator.zip(entVals.iterator).toMap
-
-  /** Upper-bound merge: element-wise max over every component, the
-    * two-entry case of [[EntryStats.max]].
-    */
-  def merge(o: EntryStats): EntryStats = EntryStats.max(Seq(this, o))
 
   /** `pL`, `pS` and `invTot` equal `o`'s, bit for bit. */
   def sameScalars(o: EntryStats): Boolean =
@@ -66,20 +75,13 @@ final class EntryStats(val pL: Double, val pS: Double, val invTot: Double,
     java.util.Arrays.hashCode(prodKeys), java.util.Arrays.hashCode(prodVals),
     java.util.Arrays.hashCode(entKeys), java.util.Arrays.hashCode(entVals)))
 
-  override def toString: String = s"EntryStats($pL, $pS, $invTot, $prod, $ent)"
+  override def toString: String = {
+    import java.util.Arrays.{toString => str}
+    s"EntryStats($pL, $pS, $invTot, ${str(prodKeys)}, ${str(prodVals)}, ${str(entKeys)}, ${str(entVals)})"
+  }
 }
 
 object EntryStats {
-
-  /** Entry statistics from impact-list maps, in any key order: a conversion
-    * for tests, not for a hot path.
-    */
-  def apply(pL: Double, pS: Double, invTot: Double,
-            prod: Map[Long, Double], ent: Map[Int, Double]): EntryStats = {
-    val pk = prod.keys.toArray.sorted
-    val ek = ent.keys.toArray.sorted
-    new EntryStats(pL, pS, invTot, pk, pk.map(prod), ek, ek.map(ent))
-  }
 
   /** The IEntry of Section V-A over `xs`: the element-wise max of every
     * component, a key absent from an entry counting as 0 (every component is

@@ -20,21 +20,6 @@ final class ItemQuery(val itemId: Long, val category: Int, val producerId: Long,
   require(entityIds.length == weights.length, "one weight per entity")
   require(entityIds.indices.drop(1).forall(i => entityIds(i - 1) < entityIds(i)),
           "entity ids must be distinct and ascending")
-
-  /** `(entity, weight)` pairs in ascending entity order: a conversion for
-    * tests, not for a hot path.
-    */
-  def entityWeights: Seq[(Int, Double)] = entityIds.toSeq.zip(weights)
-}
-
-object ItemQuery {
-
-  /** A query from distinct `(entity, weight)` pairs in any order. */
-  def apply(itemId: Long, category: Int, producerId: Long,
-            entityWeights: Seq[(Int, Double)]): ItemQuery = {
-    val sorted = entityWeights.sortBy(_._1)
-    new ItemQuery(itemId, category, producerId, sorted.map(_._1).toArray, sorted.map(_._2).toArray)
-  }
 }
 
 object Ranking {
@@ -150,7 +135,7 @@ object Ranking {
 
   /** A query prepared to score many entries (Algorithm 1, a scan): the
     * floors `μ·p_bg(uᵖ)` and `μ·p_bg(e)` of its producer and entities are
-    * computed once, and scoring an entry allocates nothing.
+    * computed once, into one array, and scoring an entry allocates nothing.
     *
     * `R_ℓ = log p_ℓ + log p̂(uᵖ|u,c) + log Σ_e w_e·p̂(e|u,c)` (Eq. 2) and
     * `R_s = log p_s` (Eq. 4). Probabilities absent from the entry's impact
@@ -163,7 +148,12 @@ object Ranking {
   final class Scorer(q: ItemQuery, prm: RankParams, col: CollectionStats) {
     private val ids = q.entityIds
     private val weights = q.weights
-    private val entFloor = ids.map(e => prm.mu * col.entityBg(e))
+    private val entFloor = {
+      val f = new Array[Double](ids.length)
+      var i = 0
+      while (i < ids.length) { f(i) = prm.mu * col.entityBg(ids(i)); i += 1 }
+      f
+    }
     private val prodFloor = prm.mu * col.producerBg(q.producerId)
 
     /** `R_ℓ` of one entry. Each query entity is looked up by a binary search
@@ -197,17 +187,7 @@ object Ranking {
 
   private def lg(x: Double): Double = math.log(math.max(x, PFloor))
 
-  /** `(R_ℓ, R_s)` of one entry against one query, before the λ_s combination. */
-  def components(s: EntryStats, q: ItemQuery, prm: RankParams, col: CollectionStats): (Double, Double) = {
-    val sc = new Scorer(q, prm, col)
-    (sc.longTerm(s), sc.shortTerm(s))
-  }
-
   /** Eq. 3: `R = (1-λ_s)·R_ℓ + λ_s·R_s`. */
   def combine(rl: Double, rs: Double, lambdaS: Double): Double =
     (1.0 - lambdaS) * rl + lambdaS * rs
-
-  /** Full relevance score of one entry (leaf = a user, internal = upper bound). */
-  def score(s: EntryStats, q: ItemQuery, prm: RankParams, col: CollectionStats): Double =
-    new Scorer(q, prm, col).score(s)
 }

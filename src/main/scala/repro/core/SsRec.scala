@@ -28,16 +28,13 @@ final case class SsRecConfig(
 }
 
 /** A trained ssRec model: the CPPse-index over all user profiles, the mined
-  * entity-expansion table, the a-HMM layer (for decoding producer states of
-  * new stream items), and the raw training events (kept so parameter sweeps
-  * can rebuild profiles under a different window size without re-running
-  * Baum-Welch).
+  * entity-expansion table and the a-HMM layer (for decoding producer states
+  * of new stream items).
   */
 final class SsRecModel(
     val index: CppseIndex,
     val expansion: EntityExpansion,
     val tracker: ProducerTracker,
-    val eventsByUser: Map[Long, Seq[CompactEvent]],
     val cfg: SsRecConfig,
 ) extends Serializable {
 
@@ -75,10 +72,6 @@ final class SsRecModel(
   def recommend(item: Item, k: Int, exact: Boolean = false): Seq[(Long, Double)] =
     index.topK(queryOf(item), k, exact)
 
-  /** Top-k by sequential scan — the naive method, for tests and baselines. */
-  def scanRecommend(item: Item, k: Int): Seq[(Long, Double)] =
-    index.scanTopK(queryOf(item), k)
-
   /** Long-term/short-term score components of every user against an item —
     * lets parameter sweeps recombine with any λ_s without rescoring. Read
     * from the leaves of the item's category, whose trees hold each user once.
@@ -113,9 +106,10 @@ final class SsRecModel(
   }
 }
 
-/** Training pipeline of the ssRec framework (Fig. 1 of the paper):
-  * a-HMM layer per producer → b-HMM per consumer → profiles → expansion
-  * table → CPPse-index.
+/** The parts of the ssRec training pipeline (Fig. 1 of the paper): a-HMM
+  * layer per producer → b-HMM per consumer → profiles → expansion table →
+  * CPPse-index. `repro.exp.Experiments.prepare` and `buildModel` run them in
+  * that order.
   */
 object SsRec {
 
@@ -135,20 +129,6 @@ object SsRec {
       prodRows.length.toLong, entRows.length.toLong)
   }
 
-  /** Train the full model from the item stream and the training slice of the
-    * interaction stream.
-    */
-  def train(spark: SparkSession, items: Dataset[Item],
-            interactions: Dataset[Interaction], cfg: SsRecConfig): SsRecModel = {
-    val producers = BiHmm.trainProducers(items, cfg.bihmm)
-    val zOfItem = producers.valuesIterator.flatMap(_.zOfItem).toMap
-    val profiles = BiHmm.trainConsumers(interactions, zOfItem, cfg.bihmm, cfg.windowCap)
-    val eventsByUser = collectEvents(interactions, zOfItem)
-    val col = collectionStats(spark, items)
-    val expansion = if (cfg.expand) Entities.mine(spark, items.toDF()) else Entities.none
-    fromParts(profiles, eventsByUser, producers, col, expansion, zOfItem, cfg)
-  }
-
   /** Per-user temporally-ordered training events with decoded producer states. */
   def collectEvents(interactions: Dataset[Interaction],
                     zOfItem: Map[Long, Int]): Map[Long, Seq[CompactEvent]] = {
@@ -158,15 +138,17 @@ object SsRec {
   }
 
   /** Assemble a model from already-trained parts (used by sweeps that reuse
-    * the b-HMMs but change window size / λ_s / expansion).
+    * the b-HMMs but change window size / λ_s / expansion). The model keeps no
+    * training events; `eventsByUser` stays in the signature for perfbench's
+    * `Setup.buildModel`.
     */
-  def fromParts(profiles: Map[Long, UserProfile], eventsByUser: Map[Long, Seq[CompactEvent]],
+  def fromParts(profiles: Map[Long, UserProfile], @unused eventsByUser: Map[Long, Seq[CompactEvent]],
                 producers: Map[Long, ProducerModel], col: CollectionStats,
                 expansion: EntityExpansion, zOfItem: Map[Long, Int],
                 cfg: SsRecConfig): SsRecModel = {
     val index = new CppseIndex(CppseIndex.Buckets, CppseIndex.Fanout, cfg.params, col, cfg.nCategories)
       .build(profiles.values, cfg.maxBlocks, cfg.blockThreshold)
-    val model = new SsRecModel(index, expansion, new ProducerTracker(producers), eventsByUser, cfg)
+    val model = new SsRecModel(index, expansion, new ProducerTracker(producers), cfg)
     model.seedZCache(zOfItem)
     model
   }

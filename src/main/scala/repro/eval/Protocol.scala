@@ -1,8 +1,5 @@
 package repro.eval
 
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.expressions.Window
-import org.apache.spark.sql.functions._
 import repro.socialdata.{Interaction, Item}
 
 /** Stream-simulation evaluation protocol, following Wang et al. [31] as the
@@ -33,13 +30,6 @@ object Protocol {
     }
     out.result()
   }
-
-  /** DataFrame variant of the even time split (tested against the DuckDB
-    * oracle): assigns partition ids 1..n with `ntile` over the timestamp
-    * order.
-    */
-  def splitDf(interactions: DataFrame, n: Int = 6): DataFrame =
-    interactions.withColumn("part", ntile(n).over(Window.orderBy(col("ts"), col("userId"), col("itemId"))))
 
   /** The item stream of a partition: distinct items in first-appearance
     * order, reconstructed from the denormalized interaction rows. `zPlanted`

@@ -9,19 +9,18 @@ package repro.index
   */
 object Hashing {
 
-  /** Default shift amounts and seed from the original shift-add-xor family. */
-  val DefaultL: Int = 5
-  val DefaultR: Int = 2
-  val DefaultSeed: Int = 31
+  /** Shift amounts `L`, `R` and the seed, from the original shift-add-xor family. */
+  val ShiftL: Int = 5
+  val ShiftR: Int = 2
+  val Seed: Int = 31
 
   /** Hash a string into `[0, buckets)`. */
-  def shiftAddXor(s: String, buckets: Int,
-                  l: Int = DefaultL, r: Int = DefaultR, seed: Int = DefaultSeed): Int = {
+  def shiftAddXor(s: String, buckets: Int): Int = {
     require(buckets > 0, "buckets must be positive")
-    var h = seed
+    var h = Seed
     var i = 0
     while (i < s.length) {
-      h = step(h, s.charAt(i), l, r)
+      h = step(h, s.charAt(i))
       i += 1
     }
     math.floorMod(h, buckets)
@@ -36,12 +35,12 @@ object Hashing {
     */
   def pairHash(category: Int, entity: Int, buckets: Int): Int = {
     require(buckets > 0, "buckets must be positive")
-    val h = decimal(step(step(decimal(step(DefaultSeed, 'c'), category), '#'), 'e'), entity)
+    val h = decimal(step(step(decimal(step(Seed, 'c'), category), '#'), 'e'), entity)
     math.floorMod(h, buckets)
   }
 
   /** `step(i, h, c)` of Eq. 5. */
-  private def step(h: Int, c: Int, l: Int = DefaultL, r: Int = DefaultR): Int = h ^ ((h << l) + (h >>> r) + c)
+  private def step(h: Int, c: Int): Int = h ^ ((h << ShiftL) + (h >>> ShiftR) + c)
 
   /** `h` stepped over the characters of `x.toString`. */
   private def decimal(h0: Int, x: Int): Int = {

@@ -147,6 +147,25 @@ class ProfilesSpec extends AnyFunSuite {
   test("collection backgrounds default for unknown ids") {
     assert(collection.producerBg(12345L) == 1.0 / NProd)
     assert(collection.entityBg(98765) == 1.0 / NEnt)
+    // Bit for bit the map with its default, on every known id, unknown ids
+    // on either side of them, and an empty collection.
+    val rnd = new Random(8)
+    val col = CollectionStats(Seq.fill(60)(rnd.nextLong(2000L) - 1000L).map(_ -> rnd.nextDouble()).toMap,
+                              Seq.fill(60)(rnd.nextInt(2000) - 1000).map(_ -> rnd.nextDouble()).toMap, 77L, 0L)
+    val prods = col.bgProd.keys.toSeq ++ Seq(Long.MinValue, -1001L, 0L, 1001L, Long.MaxValue)
+    val ents = col.bgEnt.keys.toSeq ++ Seq(Int.MinValue, -1001, 0, 1001, Int.MaxValue)
+    // A serialized copy, taken after the lookup arrays were built, rebuilds them.
+    col.producerBg(0L); col.entityBg(0)
+    val bytes = new java.io.ByteArrayOutputStream
+    new java.io.ObjectOutputStream(bytes).writeObject(col)
+    val copy = new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(bytes.toByteArray))
+      .readObject().asInstanceOf[CollectionStats]
+    Seq(col, copy).foreach { c =>
+      prods.foreach(p => assert(c.producerBg(p) == col.bgProd.getOrElse(p, 1.0 / 77), s"producer $p"))
+      ents.foreach(e => assert(c.entityBg(e) == col.bgEnt.getOrElse(e, 1.0), s"entity $e"))
+    }
+    val empty = CollectionStats(Map.empty, Map.empty, 0L, 0L)
+    assert(empty.producerBg(3L) == 1.0 && empty.entityBg(3) == 1.0)
   }
 
   test("refreshAfter equals refreshPredictions, reusing pLong when no window flushed") {

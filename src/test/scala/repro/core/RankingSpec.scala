@@ -41,61 +41,70 @@ class RankingSpec extends AnyFunSuite {
     assert(math.abs(Ranking.combine(-2.0, -6.0, 0.25) - (-3.0)) < 1e-12)
   }
 
+  /** `(R_ℓ, R_s)` of one entry against one query. */
+  private def components(s: EntryStats, q: ItemQuery): (Double, Double) = {
+    val sc = new Ranking.Scorer(q, params, collection)
+    (sc.longTerm(s), sc.shortTerm(s))
+  }
+
+  private def score(s: EntryStats, q: ItemQuery): Double =
+    new Ranking.Scorer(q, params, collection).score(s)
+
   test("score equals combine of components") {
     val rnd = new Random(1)
     (1 to 30).foreach { _ =>
       val s = randStats(rnd); val q = randQuery(rnd)
-      val (rl, rs) = Ranking.components(s, q, params, collection)
-      assert(Ranking.score(s, q, params, collection) == Ranking.combine(rl, rs, params.lambdaS))
+      val sc = new Ranking.Scorer(q, params, collection)
+      assert(sc.score(s) == Ranking.combine(sc.longTerm(s), sc.shortTerm(s), params.lambdaS))
     }
   }
 
   test("components match the hand-computed Eq. 2 on crafted stats") {
-    val s = EntryStats(pL = 0.5, pS = 0.25, invTot = 0.1,
-                       prod = Map(3L -> 0.4), ent = Map(7 -> 0.2, 8 -> 0.3))
-    val q = ItemQuery(1L, 0, 3L, Seq((7, 1.0), (8, 2.0)))
-    val (rl, rs) = Ranking.components(s, q, params, collection)
+    val s = statsFromMaps(pL = 0.5, pS = 0.25, invTot = 0.1,
+                          prod = Map(3L -> 0.4), ent = Map(7 -> 0.2, 8 -> 0.3))
+    val q = queryFromPairs(1L, 0, 3L, Seq((7, 1.0), (8, 2.0)))
+    val (rl, rs) = components(s, q)
     val entSum = 1.0 * 0.2 + 2.0 * 0.3
     assert(math.abs(rl - (math.log(0.5) + math.log(0.4) + math.log(entSum))) < 1e-12)
     assert(math.abs(rs - math.log(0.25)) < 1e-12)
   }
 
   test("absent producer falls back to its smoothing floor") {
-    val s = EntryStats(0.5, 0.5, 0.1, Map.empty, Map(7 -> 0.2))
-    val q = ItemQuery(1L, 0, 99L, Seq((7, 1.0)))
-    val (rl, _) = Ranking.components(s, q, params, collection)
+    val s = statsFromMaps(0.5, 0.5, 0.1, Map.empty, Map(7 -> 0.2))
+    val q = queryFromPairs(1L, 0, 99L, Seq((7, 1.0)))
+    val (rl, _) = components(s, q)
     val floor = params.mu * collection.producerBg(99L) * 0.1
     assert(math.abs(rl - (math.log(0.5) + math.log(floor) + math.log(0.2))) < 1e-12)
   }
 
   test("absent entities fall back to their smoothing floors") {
-    val s = EntryStats(0.5, 0.5, 0.1, Map(3L -> 0.4), Map.empty)
-    val q = ItemQuery(1L, 0, 3L, Seq((7, 1.0), (8, 0.5)))
-    val (rl, _) = Ranking.components(s, q, params, collection)
+    val s = statsFromMaps(0.5, 0.5, 0.1, Map(3L -> 0.4), Map.empty)
+    val q = queryFromPairs(1L, 0, 3L, Seq((7, 1.0), (8, 0.5)))
+    val (rl, _) = components(s, q)
     val f7 = params.mu * collection.entityBg(7) * 0.1
     val f8 = params.mu * collection.entityBg(8) * 0.1
     assert(math.abs(rl - (math.log(0.5) + math.log(0.4) + math.log(f7 + 0.5 * f8))) < 1e-12)
   }
 
   test("score is monotone in matching-entity probability") {
-    val q = ItemQuery(1L, 0, 3L, Seq((7, 1.0)))
-    val lo = EntryStats(0.5, 0.5, 0.1, Map(3L -> 0.4), Map(7 -> 0.1))
-    val hi = EntryStats(0.5, 0.5, 0.1, Map(3L -> 0.4), Map(7 -> 0.6))
-    assert(Ranking.score(hi, q, params, collection) > Ranking.score(lo, q, params, collection))
+    val q = queryFromPairs(1L, 0, 3L, Seq((7, 1.0)))
+    val lo = statsFromMaps(0.5, 0.5, 0.1, Map(3L -> 0.4), Map(7 -> 0.1))
+    val hi = statsFromMaps(0.5, 0.5, 0.1, Map(3L -> 0.4), Map(7 -> 0.6))
+    assert(score(hi, q) > score(lo, q))
   }
 
   test("score is monotone in the BiHMM category probability") {
     val rnd = new Random(2)
     val q = randQuery(rnd)
     val s = randStats(rnd)
-    val better = EntryStats(math.min(1.0, s.pL * 1.5), math.min(1.0, s.pS * 1.5), s.invTot, s.prod, s.ent)
-    assert(Ranking.score(better, q, params, collection) > Ranking.score(s, q, params, collection))
+    val better = statsFromMaps(math.min(1.0, s.pL * 1.5), math.min(1.0, s.pS * 1.5), s.invTot, s.prod, s.ent)
+    assert(score(better, q) > score(s, q))
   }
 
   test("score never produces NaN or +Inf, even on degenerate stats") {
-    val s = EntryStats(0.0, 0.0, 0.0, Map.empty, Map.empty)
-    val q = ItemQuery(1L, 0, 3L, Seq.empty)
-    val v = Ranking.score(s, q, params, collection)
+    val s = statsFromMaps(0.0, 0.0, 0.0, Map.empty, Map.empty)
+    val q = queryFromPairs(1L, 0, 3L, Seq.empty)
+    val v = score(s, q)
     assert(!v.isNaN && v < 0)
   }
 
@@ -120,10 +129,10 @@ class RankingSpec extends AnyFunSuite {
     val rnd = new Random(3)
     (1 to 50).foreach { _ =>
       val a = randStats(rnd); val b = randStats(rnd); val q = randQuery(rnd)
-      val m = a.merge(b)
-      val sm = Ranking.score(m, q, params, collection)
-      assert(sm >= Ranking.score(a, q, params, collection) - 1e-9)
-      assert(sm >= Ranking.score(b, q, params, collection) - 1e-9)
+      val sc = new Ranking.Scorer(q, params, collection)
+      val sm = sc.score(EntryStats.max(Seq(a, b)))
+      assert(sm >= sc.score(a) - 1e-9)
+      assert(sm >= sc.score(b) - 1e-9)
     }
   }
 
@@ -133,14 +142,12 @@ class RankingSpec extends AnyFunSuite {
     var absentKey, emptyQuery, emptyEntry, unknownProducer, pastLastKey = 0
     (1 to 3000).foreach { i =>
       val s = randStats(rnd, minKeys = 0)
-      val q = ItemQuery(rnd.nextLong(100000), 0, rnd.nextLong(NProd + 3L),
+      val q = queryFromPairs(rnd.nextLong(100000), 0, rnd.nextLong(NProd + 3L),
         Seq.fill(rnd.nextInt(7))(rnd.nextInt(NEnt + 10) -> (rnd.nextDouble() * 0.9 + 0.1)).distinctBy(_._1))
       val want = refComponents(s, q, params, collection)
       val sc = new Ranking.Scorer(q, params, collection)
       assert((sc.longTerm(s), sc.shortTerm(s)) == want, s"case $i: $s")
-      assert(Ranking.components(s, q, params, collection) == want, s"case $i")
       assert(sc.score(s) == Ranking.combine(want._1, want._2, params.lambdaS), s"case $i")
-      assert(Ranking.score(s, q, params, collection) == sc.score(s), s"case $i")
       if (q.entityIds.exists(e => !s.ent.contains(e)) || !s.prod.contains(q.producerId)) absentKey += 1
       if (q.entityIds.isEmpty) emptyQuery += 1
       if (s.entKeys.isEmpty || s.prodKeys.isEmpty) emptyEntry += 1
@@ -150,11 +157,44 @@ class RankingSpec extends AnyFunSuite {
     Seq(absentKey, emptyQuery, emptyEntry, unknownProducer, pastLastKey).foreach(n => assert(n > 0))
   }
 
+  test("a warm Scorer construction allocates only its floor array") {
+    val mx = java.lang.management.ManagementFactory.getThreadMXBean
+      .asInstanceOf[com.sun.management.ThreadMXBean]
+    def allocated(): Long = mx.getThreadAllocatedBytes(Thread.currentThread().getId)
+    // Ids past the boxing cache, so a boxed lookup key would show; half of
+    // them absent from the collection, so a lookup default would too.
+    val col = CollectionStats((0L until 200L).map(p => (1000L + p) -> 1.0 / 200).toMap,
+                              (0 until 400).map(e => (1000 + e) -> 1.0 / 400).toMap, 200L, 400L)
+    val rnd = new Random(41)
+    val nEnt = 32
+    val queries = Array.fill(50) {
+      val ids = rnd.shuffle((1000 until 1800).toVector).take(nEnt).sorted.toArray
+      new ItemQuery(1L, 0, 1000L + rnd.nextInt(400), ids, ids.map(_ => 1.0))
+    }
+    // Kept, so that the JIT cannot elide the constructions as dead.
+    val kept = new Array[Ranking.Scorer](queries.length)
+    def rounds(n: Int): Unit = {
+      var r = 0
+      while (r < n) {
+        var i = 0
+        while (i < queries.length) { kept(i) = new Ranking.Scorer(queries(i), params, col); i += 1 }
+        r += 1
+      }
+    }
+    rounds(200)
+    val before = allocated()
+    rounds(100)
+    val bytes = (allocated() - before) / (100L * queries.length)
+    // The scorer object (under 128 bytes) and its array of `nEnt` doubles.
+    assert(bytes <= 128 + 16 + 8 * nEnt, s"$bytes bytes per Scorer construction")
+  }
+
   test("queryOf emits ascending entity ids with their weights") {
     val q = Ranking.queryOf(1L, 0, 2L, Seq(3, 1, 2, 1), exp, expand = true)
     assert(q.entityIds.toSeq == Seq(1, 2, 3, 10, 11))
-    assert(q.entityWeights == q.entityIds.toSeq.zip(q.weights))
-    intercept[IllegalArgumentException](ItemQuery(1L, 0, 2L, Seq(4 -> 1.0, 4 -> 2.0)))
+    assert(q.weights.toSeq.take(3) == Seq(2.0, 1.0, 1.0))
+    intercept[IllegalArgumentException](new ItemQuery(1L, 0, 2L, Array(4, 4), Array(1.0, 2.0)))
+    intercept[IllegalArgumentException](new ItemQuery(1L, 0, 2L, Array(5, 4), Array(1.0, 2.0)))
   }
 
   test("TopK equals a full sort on random streams with many ties, for every k") {

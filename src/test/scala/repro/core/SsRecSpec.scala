@@ -2,25 +2,23 @@ package repro.core
 
 import repro.SparkSpec
 import repro.eval.Protocol
-import repro.socialdata.{SocialData}
+import repro.exp.Experiments
+import repro.socialdata.SocialData
 import scala.util.Random
 
 class SsRecSpec extends SparkSpec {
   private val cfg = SocialData.tiny
   private val ss = SsRecConfig(nCategories = cfg.nCategories, nBStates = 2,
                                maxBlocks = 4, hmmIter = 15)
-  private lazy val items = SocialData.items(spark, cfg).cache()
-  private lazy val interactions = SocialData.interactions(spark, cfg).cache()
-  private lazy val partitions = Protocol.split(interactions.collect().toSeq, 6)
-  private lazy val trainDs = {
-    import spark.implicits._
-    spark.createDataset((partitions(0) ++ partitions(1)).toSeq)
-  }
-  private lazy val model = SsRec.train(spark, items, trainDs, ss)
+  private lazy val trained = Experiments.prepare(spark, cfg, ss)
+  private lazy val partitions = trained.partitions
+  /** A fresh model over `partitions(0) ++ partitions(1)`, for tests that observe. */
+  private def fresh(): SsRecModel = Experiments.buildModel(trained, ss)
+  private lazy val model = fresh()
   private lazy val testItems = Protocol.itemStream(partitions(2))
 
   test("training indexes every training user") {
-    val users = trainDs.collect().map(_.userId).toSet
+    val users = (partitions(0) ++ partitions(1)).map(_.userId).toSet
     assert(model.index.profiles.keySet == users)
   }
 
@@ -43,7 +41,7 @@ class SsRecSpec extends SparkSpec {
   test("index recommendation equals the sequential scan (exact mode)") {
     testItems.take(25).foreach { v =>
       val got = model.recommend(v, 8, exact = true)
-      val want = model.scanRecommend(v, 8)
+      val want = model.index.scanTopK(model.queryOf(v), 8)
       assert(got == want, s"item ${v.itemId}: index=$got scan=$want")
     }
   }
@@ -70,11 +68,11 @@ class SsRecSpec extends SparkSpec {
     val qOn = model.queryOf(v)
     val qOff = Ranking.queryOf(v.itemId, v.category, v.producerId, v.entities,
                                model.expansion, expand = false)
-    assert(qOn.entityWeights.size >= qOff.entityWeights.size)
+    assert(qOn.entityIds.length >= qOff.entityIds.length)
   }
 
   test("observe ingests events and reports updated users") {
-    val m = SsRec.train(spark, items, trainDs, ss)
+    val m = fresh()
     val batch = partitions(2).take(80).toSeq
     val users = batch.map(_.userId).toSet
     val before = users.toSeq.map(u => m.index.profiles.get(u).map(p => p.totalLong + p.window.size).getOrElse(0.0)).sum
@@ -85,17 +83,17 @@ class SsRecSpec extends SparkSpec {
   }
 
   test("observe keeps index equal to scan") {
-    val m = SsRec.train(spark, items, trainDs, ss)
+    val m = fresh()
     m.observe(partitions(2).toSeq)
     Protocol.itemStream(partitions(3)).take(15).foreach { v =>
       val got = m.recommend(v, 6, exact = true)
-      val want = m.scanRecommend(v, 6)
+      val want = m.index.scanTopK(m.queryOf(v), 6)
       assert(got == want, s"item ${v.itemId}: index=$got scan=$want")
     }
   }
 
   test("ssRec-ne (no expansion) produces different rankings on some items") {
-    val ne = SsRec.train(spark, items, trainDs, ss.copy(expand = false))
+    val ne = Experiments.buildModel(trained, ss.copy(expand = false))
     assert(ne.expansion.exp.isEmpty)
     val differs = testItems.take(40).exists { v =>
       model.recommend(v, 10, exact = true).map(_._1) != ne.recommend(v, 10, exact = true).map(_._1)
@@ -104,13 +102,13 @@ class SsRecSpec extends SparkSpec {
   }
 
   test("out-of-range categories are rejected at the model boundary") {
-    val m = SsRec.train(spark, items, trainDs, ss)
+    val m = fresh()
     val v = testItems.head
     Seq(-1, ss.nCategories).foreach { c =>
       val bad = v.copy(category = c)
       val e = intercept[IllegalArgumentException](m.recommend(bad, 5))
       assert(e.getMessage.contains(s"category $c outside [0, ${ss.nCategories})"))
-      intercept[IllegalArgumentException](m.scanRecommend(bad, 5))
+      intercept[IllegalArgumentException](m.index.scanTopK(m.queryOf(bad), 5))
     }
     // An item unseen by the model, so observing it decodes its producer state.
     val good = partitions(2).head.copy(itemId = 1000000L)
@@ -126,7 +124,7 @@ class SsRecSpec extends SparkSpec {
     assert(report.updatedUsers + report.newUsers == 1)
     val size = (p: UserProfile) => p.totalLong + p.window.size
     assert(size(m.index.profiles(u)) == profileBefore.map(size).getOrElse(0.0) + 1)
-    assert(m.recommend(v, 5, exact = true) == m.scanRecommend(v, 5))
+    assert(m.recommend(v, 5, exact = true) == m.index.scanTopK(m.queryOf(v), 5))
   }
 
   test("componentsAll covers every user and matches the scan score at lambda") {
@@ -134,7 +132,7 @@ class SsRecSpec extends SparkSpec {
     val comps = model.componentsAll(v)
     assert(comps.length == model.index.profiles.size)
     val byUser = comps.map { case (u, rl, rs) => u -> Ranking.combine(rl, rs, ss.lambdaS) }.toMap
-    model.scanRecommend(v, 5).foreach { case (u, s) =>
+    model.index.scanTopK(model.queryOf(v), 5).foreach { case (u, s) =>
       assert(math.abs(byUser(u) - s) < 1e-9)
     }
   }

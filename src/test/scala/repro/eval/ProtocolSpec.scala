@@ -1,7 +1,6 @@
 package repro.eval
 
-import org.apache.spark.sql.functions._
-import repro.{Oracle, SparkSpec}
+import repro.SparkSpec
 import repro.socialdata.{Interaction, Item, SocialData}
 
 class ProtocolSpec extends SparkSpec {
@@ -31,18 +30,6 @@ class ProtocolSpec extends SparkSpec {
     val parts = Protocol.split(xs, 3)
     assert(parts.map(_.length).toSeq == Seq(3, 2, 2))
     assert(parts.flatten.map(_.ts).toSeq == parts.flatten.map(_.ts).sorted.toSeq)
-  }
-
-  test("oracle: splitDf partition sizes match DuckDB ntile") {
-    import spark.implicits._
-    val df = spark.createDataset(interactions.take(500)).toDF()
-      .select("userId", "itemId", "ts")
-    val got = Protocol.splitDf(df, 6).groupBy("part").agg(count(lit(1)).as("cnt"))
-    Oracle.assertEquivalent(got,
-      """SELECT part, count(*) AS cnt FROM (
-        |  SELECT ntile(6) OVER (ORDER BY CAST(ts AS BIGINT), CAST(userId AS BIGINT),
-        |                        CAST(itemId AS BIGINT)) AS part FROM ir) GROUP BY part""".stripMargin,
-      "ir" -> df)
   }
 
   test("itemStream deduplicates items in first-appearance order") {

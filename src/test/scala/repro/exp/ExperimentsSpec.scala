@@ -1,6 +1,7 @@
 package repro.exp
 
 import repro.SparkSpec
+import repro.core.BiHmm
 import repro.eval.Protocol
 import repro.socialdata.SocialData
 
@@ -32,6 +33,29 @@ class ExperimentsSpec extends SparkSpec {
     m.index.profiles.values.foreach(p => assert(p.windowCap == 7 && p.window.size <= 7))
     // Same b-HMM objects as trained: profiles are replayed, not retrained.
     m.index.profiles.values.foreach(p => assert(p.model eq trained.userModels(p.userId)))
+  }
+
+  test("buildModel replays the profiles trainConsumers builds, and exact topK equals the scan") {
+    import spark.implicits._
+    val trainDs = spark.createDataset(trained.partitions.take(Protocol.TrainParts).flatten.toSeq)
+    val direct = BiHmm.trainConsumers(trainDs, trained.zOfItem, ss.bihmm, ss.windowCap)
+    val m = Experiments.buildModel(trained.copy(userModels = direct.map { case (u, p) => u -> p.model }), ss)
+    assert(m.index.profiles.keySet == direct.keySet)
+    direct.values.foreach { want =>
+      val got = m.index.profiles(want.userId)
+      val u = s"user ${want.userId}"
+      assert(got.window == want.window, u)
+      assert(got.catCount.toSeq == want.catCount.toSeq, u)
+      assert(got.prodCount == want.prodCount && got.entCount == want.entCount, u)
+      assert(got.longSeq == want.longSeq, u)
+      assert(got.pLong.toSeq == want.pLong.toSeq && got.pShort.toSeq == want.pShort.toSeq, u)
+      assert(got.zLong.map(_.toSeq).toSeq == want.zLong.map(_.toSeq).toSeq, u)
+      assert(got.model eq want.model, u)
+    }
+    Protocol.itemStream(trained.partitions(2)).take(25).foreach { v =>
+      val q = m.queryOf(v)
+      assert(m.index.topK(q, 8, exact = true) == m.index.scanTopK(q, 8), s"item ${v.itemId}")
+    }
   }
 
   test("table2: rows per block budget, vocabularies shrink as blocks grow") {

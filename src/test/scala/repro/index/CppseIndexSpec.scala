@@ -410,7 +410,7 @@ class CppseIndexSpec extends AnyFunSuite {
         idx.applyUpdates((known ++ fresh).sortBy(_._1), makeProfileFor)
         (0 until 30).foreach { i =>
           val q = if (i < 10) randQuery(rnd)
-                  else ItemQuery(0L, rnd.nextInt(NCats), 0L, Seq(rnd.nextInt(NEnt) -> 1.0))
+                  else queryFromPairs(0L, rnd.nextInt(NCats), 0L, Seq(rnd.nextInt(NEnt) -> 1.0))
           val got = idx.locateTrees(q)
           val what = s"$nUsers users, round $round, query $i"
           assert(got.map(t => TreeRef(t.block, t.category)).toSet == refLocated(idx, q), what)

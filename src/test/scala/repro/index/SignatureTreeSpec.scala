@@ -25,9 +25,10 @@ class SignatureTreeSpec extends AnyFunSuite {
   }
 
   /** Every leaf scored, ranked by score descending, then userId ascending. */
-  private def bruteForce(t: SignatureTree, q: ItemQuery, k: Int): Seq[(Long, Double)] =
-    t.leaves.map { case (u, s) => (u, Ranking.score(s, q, params, collection)) }
-      .sortBy { case (u, s) => (-s, u) }.take(k)
+  private def bruteForce(t: SignatureTree, q: ItemQuery, k: Int): Seq[(Long, Double)] = {
+    val sc = new Ranking.Scorer(q, params, collection)
+    t.leaves.map { case (u, s) => (u, sc.score(s)) }.sortBy { case (u, s) => (-s, u) }.take(k)
+  }
 
   /** A batch for [[SignatureTree.updateAll]] that writes the given statistics. */
   private def writes(batch: Seq[(Long, EntryStats)]): Seq[(Long, EntryStats => EntryStats)] =
@@ -60,7 +61,7 @@ class SignatureTreeSpec extends AnyFunSuite {
     val rnd = new Random(3)
     (1 to 50).foreach { _ =>
       val a = randStats(rnd); val b = randStats(rnd)
-      val m = a.merge(b)
+      val m = EntryStats.max(Seq(a, b))
       assertUpperBound(m, a); assertUpperBound(m, b)
     }
   }
@@ -69,7 +70,7 @@ class SignatureTreeSpec extends AnyFunSuite {
     val rnd = new Random(4)
     (1 to 20).foreach { _ =>
       val a = randStats(rnd); val b = randStats(rnd)
-      assert(a.merge(b) == b.merge(a))
+      assert(EntryStats.max(Seq(a, b)) == EntryStats.max(Seq(b, a)))
     }
   }
 
@@ -83,9 +84,10 @@ class SignatureTreeSpec extends AnyFunSuite {
     val t = tree(entries(50, 6))
     (1 to 30).foreach { _ =>
       val q = randQuery(rnd)
-      val rootScore = Ranking.score(t.root.get.stats, q, params, collection)
+      val sc = new Ranking.Scorer(q, params, collection)
+      val rootScore = sc.score(t.root.get.stats)
       t.leaves.foreach { case (u, s) =>
-        val ls = Ranking.score(s, q, params, collection)
+        val ls = sc.score(s)
         assert(rootScore >= ls - 1e-9, s"root bound violated for user $u")
       }
     }
@@ -110,7 +112,7 @@ class SignatureTreeSpec extends AnyFunSuite {
   test("update replaces leaf stats and refreshes ancestors") {
     val rnd = new Random(9)
     val t = tree(entries(30, 9))
-    val bigger = EntryStats(0.99, 0.99, 0.5, Map(1L -> 0.99), Map(2 -> 0.99))
+    val bigger = statsFromMaps(0.99, 0.99, 0.5, Map(1L -> 0.99), Map(2 -> 0.99))
     assert(t.update(7L, bigger))
     assert(t.leafOf(7L).get.stats == bigger)
     val rs = t.root.get.stats
@@ -124,7 +126,7 @@ class SignatureTreeSpec extends AnyFunSuite {
     val base = randStats(rnd)
     val es = (0L until 8L).map(u => (u, base))
     val t = tree(es)
-    val small = EntryStats(base.pL / 2, base.pS, base.invTot, base.prod, base.ent)
+    val small = statsFromMaps(base.pL / 2, base.pS, base.invTot, base.prod, base.ent)
     t.update(3L, small)
     assert(math.abs(t.root.get.stats.pL - base.pL) < 1e-12)
     t.leaves.foreach { case (u, _) => if (u != 3L) t.update(u, small) }
@@ -173,7 +175,7 @@ class SignatureTreeSpec extends AnyFunSuite {
     import org.scalacheck.{Gen, Prop, Test => ScTest}
     val genStats = Gen.choose(1L, 100000L).map(s => randStats(new Random(s)))
     val prop = Prop.forAll(genStats, genStats) { (a, b) =>
-      val m = a.merge(b)
+      val m = EntryStats.max(Seq(a, b))
       m.pL >= a.pL && m.pL >= b.pL &&
         a.prod.forall { case (k, v) => m.prod.getOrElse(k, 0.0) >= v } &&
         b.ent.forall { case (k, v) => m.ent.getOrElse(k, 0.0) >= v }
@@ -185,7 +187,7 @@ class SignatureTreeSpec extends AnyFunSuite {
   /** `s` with every component scaled by `f` and each map key dropped with
     * probability 1/3 — a leaf whose components shrink.
     */
-  private def shrunk(s: EntryStats, f: Double, rnd: Random): EntryStats = EntryStats(
+  private def shrunk(s: EntryStats, f: Double, rnd: Random): EntryStats = statsFromMaps(
     s.pL * f, s.pS * f, s.invTot * f,
     s.prod.collect { case (k, v) if rnd.nextInt(3) > 0 => k -> v * f },
     s.ent.collect { case (k, v) if rnd.nextInt(3) > 0 => k -> v * f })
@@ -241,9 +243,9 @@ class SignatureTreeSpec extends AnyFunSuite {
       ms.flatMap(_.keys).distinct.map(k => k -> ms.map(_.getOrElse(k, 0.0)).max).toMap
     val prop = Prop.forAll(genList) { xs =>
       val m = EntryStats.max(xs)
-      m == xs.reduceLeft(_ merge _) &&
-        m == EntryStats(xs.map(_.pL).max, xs.map(_.pS).max, xs.map(_.invTot).max,
-                        keyMax(xs.map(_.prod)), keyMax(xs.map(_.ent)))
+      m == xs.reduceLeft((a, b) => EntryStats.max(Seq(a, b))) &&
+        m == statsFromMaps(xs.map(_.pL).max, xs.map(_.pS).max, xs.map(_.invTot).max,
+                           keyMax(xs.map(_.prod)), keyMax(xs.map(_.ent)))
     }
     val res = ScTest.check(ScTest.Parameters.default.withMinSuccessfulTests(200), prop)
     assert(res.passed, res.status.toString)

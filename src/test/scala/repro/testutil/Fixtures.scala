@@ -21,13 +21,39 @@ object Fixtures {
 
   val params: RankParams = RankParams(lambdaS = 0.4, mu = 5.0)
 
+  /** Entry statistics from impact-list maps, in any key order. */
+  def statsFromMaps(pL: Double, pS: Double, invTot: Double,
+                    prod: Map[Long, Double], ent: Map[Int, Double]): EntryStats = {
+    val pk = prod.keys.toArray.sorted
+    val ek = ent.keys.toArray.sorted
+    new EntryStats(pL, pS, invTot, pk, pk.map(prod), ek, ek.map(ent))
+  }
+
+  /** The impact lists of entry statistics as maps. */
+  implicit final class StatsMaps(private val s: EntryStats) extends AnyVal {
+    def prod: Map[Long, Double] = s.prodKeys.iterator.zip(s.prodVals.iterator).toMap
+    def ent: Map[Int, Double] = s.entKeys.iterator.zip(s.entVals.iterator).toMap
+  }
+
+  /** A query from distinct `(entity, weight)` pairs in any order. */
+  def queryFromPairs(itemId: Long, category: Int, producerId: Long,
+                     entityWeights: Seq[(Int, Double)]): ItemQuery = {
+    val sorted = entityWeights.sortBy(_._1)
+    new ItemQuery(itemId, category, producerId, sorted.map(_._1).toArray, sorted.map(_._2).toArray)
+  }
+
+  /** The `(entity, weight)` pairs of a query, in ascending entity order. */
+  implicit final class QueryPairs(private val q: ItemQuery) extends AnyVal {
+    def entityWeights: Seq[(Int, Double)] = q.entityIds.toSeq.zip(q.weights)
+  }
+
   /** Random but well-formed entry statistics (smoothed probs in (0,1]),
     * with at least `minKeys` producers and entities.
     */
   def randStats(rnd: Random, minKeys: Int = 1): EntryStats = {
     val tot = rnd.nextInt(40) + 1
     val inv = 1.0 / (tot + params.mu)
-    EntryStats(
+    statsFromMaps(
       pL = rnd.nextDouble() * 0.9 + 0.05,
       pS = rnd.nextDouble() * 0.9 + 0.05,
       invTot = inv,
@@ -39,7 +65,7 @@ object Fixtures {
   }
 
   /** Random item query over the fixture vocabulary. */
-  def randQuery(rnd: Random): ItemQuery = ItemQuery(
+  def randQuery(rnd: Random): ItemQuery = queryFromPairs(
     itemId = rnd.nextLong(100000),
     category = rnd.nextInt(NCats),
     producerId = rnd.nextLong(NProd),
@@ -66,7 +92,7 @@ object Fixtures {
     */
   def refEntryStats(p: UserProfile, c: Int, mu: Double, col: CollectionStats): EntryStats = {
     val inv = 1.0 / (p.totalIn(c) + mu)
-    EntryStats(p.pLong(c), p.pShort(c), inv,
+    statsFromMaps(p.pLong(c), p.pShort(c), inv,
       p.prodCount.getOrElse(c, Map.empty[Long, Double]).map { case (k, n) => k -> (n + mu * col.producerBg(k)) * inv },
       p.entCount.getOrElse(c, Map.empty[Int, Double]).map { case (k, n) => k -> (n + mu * col.entityBg(k)) * inv })
   }
@@ -86,7 +112,7 @@ object Fixtures {
       acc
     }
     def top(f: EntryStats => Double): Double = xs.foldLeft(Double.NegativeInfinity)((m, x) => math.max(m, f(x)))
-    EntryStats(top(_.pL), top(_.pS), top(_.invTot), maxMap(xs.map(_.prod)), maxMap(xs.map(_.ent)))
+    statsFromMaps(top(_.pL), top(_.pS), top(_.invTot), maxMap(xs.map(_.prod)), maxMap(xs.map(_.ent)))
   }
 
   /** The Map-based query build that [[Ranking.queryOf]] replaced: the
